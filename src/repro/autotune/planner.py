@@ -28,7 +28,8 @@ import os
 import random
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +50,12 @@ __all__ = [
 #: Sentinel distinguishing "use the configured default path" from an
 #: explicit ``path=None`` (no persistence at all).
 _UNSET = object()
+
+#: Arm lists a planner remembers (least recently used out first): a
+#: decision costs microseconds, but enumerating and pricing the arms
+#: costs milliseconds at 1024^2, so decide_compute prices each argument
+#: tuple once.
+_ARMS_CACHE_SIZE = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,6 +102,7 @@ class AutotunePlanner:
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._keys: Dict[str, KeyState] = {}
+        self._arms: "OrderedDict[tuple, Tuple[Arm, ...]]" = OrderedDict()
         self._pid = os.getpid()
         self._observations_since_save = 0
         self.path: Optional[str]
@@ -181,6 +189,38 @@ class AutotunePlanner:
         obs_runtime.set_gauge("autotune_arms", float(len(arms)), key=key)
         return Decision(key=key, arm=arm, mode=mode, predicted=arm.prior)
 
+    def _compute_arms(
+        self,
+        rows: int,
+        cols: int,
+        params: Optional[MachineParams],
+        fused_options: Tuple[Optional[str], ...],
+        max_p_candidates: Optional[int],
+    ) -> Tuple[Arm, ...]:
+        """:func:`compute_arms`, memoized on its arguments, model included.
+
+        Sharing one arm tuple between decisions is safe: :class:`Arm` is
+        frozen and :meth:`decide` never mutates the sequence it gets.
+        """
+        memo_key = (rows, cols, params, self.model, fused_options, max_p_candidates)
+        with self._lock:
+            arms = self._arms.get(memo_key)
+            if arms is not None:
+                self._arms.move_to_end(memo_key)
+                return arms
+        kwargs = {}
+        if max_p_candidates is not None:
+            kwargs["max_p_candidates"] = max_p_candidates
+        arms = tuple(compute_arms(
+            rows, cols, params, model=self.model,
+            fused_options=fused_options, **kwargs,
+        ))
+        with self._lock:
+            self._arms[memo_key] = arms
+            if len(self._arms) > _ARMS_CACHE_SIZE:
+                self._arms.popitem(last=False)
+        return arms
+
     @staticmethod
     def _restrict(arm_id: Optional[str], by_id: Dict[str, Arm], arms) -> str:
         """Clamp a bandit suggestion to the arms feasible *this* call
@@ -203,17 +243,8 @@ class AutotunePlanner:
         explore: bool = True,
     ) -> Decision:
         """Enumerate + decide for one SAT compute request."""
-        kwargs = {}
-        if max_p_candidates is not None:
-            kwargs["max_p_candidates"] = max_p_candidates
-        arms = compute_arms(
-            rows,
-            cols,
-            params,
-            model=self.model,
-            fused_options=fused_options,
-            **kwargs,
-        )
+        arms = self._compute_arms(rows, cols, params, tuple(fused_options),
+                                  max_p_candidates)
         key = self.key_for(rows, cols, dtype, params, kind=kind, mode=mode)
         with obs_runtime.span(
             "autotune_decide", key=key, kind=kind, arms=len(arms)

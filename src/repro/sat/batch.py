@@ -59,6 +59,7 @@ import numpy as np
 from ..errors import ConfigurationError, ShapeError, WorkerCrashed
 from ..machine.params import MachineParams
 from ..obs import runtime as obs
+from ..util.slab import attach_slab, detach_slabs, grow_slab, release_slab
 
 #: Environment knob used by the crash-surfacing tests: a worker processing
 #: this batch index dies mid-task (``os._exit``), which is how a segfault
@@ -159,23 +160,6 @@ def _maybe_crash(index: int) -> None:
         os._exit(13)
 
 
-def _attach_slab(attached: dict, role: str, name: str) -> shared_memory.SharedMemory:
-    """(Re)attach one slab by name, dropping a stale mapping for the role.
-
-    With fork-started workers the resource tracker process is shared with
-    the parent, so attach-time registration is a harmless duplicate and
-    the parent's ``unlink()`` performs the one unregister.
-    """
-    current = attached.get(role)
-    if current is not None and current[0] == name:
-        return current[1]
-    if current is not None:
-        current[1].close()
-    shm = shared_memory.SharedMemory(name=name)
-    attached[role] = (name, shm)
-    return shm
-
-
 def _warm_worker_main(worker_id, conn, algorithm, params, fast, fused, seed,
                       warm_shapes) -> None:
     """The persistent worker loop: one warm engine, attached slabs, RPCs.
@@ -216,8 +200,8 @@ def _warm_worker_main(worker_id, conn, algorithm, params, fast, fused, seed,
             op = msg[0]
             if op == "run":
                 gen, in_name, out_name, shape, dtype_str, indices = msg[1:]
-                shm_in = _attach_slab(attached, "in", in_name)
-                shm_out = _attach_slab(attached, "out", out_name)
+                shm_in = attach_slab(attached, "in", in_name)
+                shm_out = attach_slab(attached, "out", out_name)
                 inputs = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm_in.buf)
                 outputs = np.ndarray(shape, dtype=np.float64, buffer=shm_out.buf)
                 matrix_shape = shape[1:]
@@ -263,11 +247,7 @@ def _warm_worker_main(worker_id, conn, algorithm, params, fast, fused, seed,
             elif op == "stop":
                 break
     finally:
-        for _name, shm in attached.values():
-            try:
-                shm.close()
-            except OSError:
-                pass
+        detach_slabs(attached)
         conn.close()
 
 
@@ -416,33 +396,20 @@ class BatchSession:
     # -- slabs ---------------------------------------------------------------
 
     def _ensure_slab(self, role: str, nbytes: int) -> shared_memory.SharedMemory:
-        """The pinned slab for ``role``, grown geometrically on demand.
-
-        Growth allocates a fresh block (shared memory cannot be resized
-        in place) and unlinks the old one; workers drop their stale
-        mapping when the next ``run`` message names the new block.
-        """
+        """The pinned slab for ``role``, grown geometrically on demand
+        (:func:`~repro.util.slab.grow_slab`)."""
         current = self._slabs.get(role)
-        if current is not None and current.size >= nbytes:
-            return current
-        size = max(nbytes, 2 * current.size if current is not None else nbytes)
-        if current is not None:
-            current.close()
-            current.unlink()
-        slab = shared_memory.SharedMemory(create=True, size=size)
-        self._slabs[role] = slab
-        obs.set_gauge(
-            "batch_slab_bytes", sum(s.size for s in self._slabs.values())
-        )
+        slab = grow_slab(current, nbytes)
+        if slab is not current:
+            self._slabs[role] = slab
+            obs.set_gauge(
+                "batch_slab_bytes", sum(s.size for s in self._slabs.values())
+            )
         return slab
 
     def _release_slabs(self) -> None:
         for slab in self._slabs.values():
-            try:
-                slab.close()
-                slab.unlink()
-            except OSError:
-                pass
+            release_slab(slab)
         self._slabs = {}
 
     def slab_bytes(self) -> int:

@@ -28,12 +28,24 @@ Three pieces:
   restart with :class:`~repro.util.backoff.ExponentialBackoff` pacing,
   and re-hydration of every shard the restarted worker is assigned.
 
-Large shard payloads cross the process boundary through a
-:mod:`multiprocessing.shared_memory` block (the
-:mod:`repro.sat.batch` transport pattern: ship a name, not a pickle);
-small ones ride inline. Either way the payload carries its CRC-32 and
-the worker verifies before installing — a torn or corrupted checkpoint
-is rejected with a typed error, never served.
+Shard checkpoints cross the process boundary through one persistent
+:mod:`multiprocessing.shared_memory` *load slab* per worker epoch (the
+:mod:`repro.sat.batch` slab pattern, through the same
+:mod:`repro.util.slab` helpers): the supervisor creates it at the
+epoch's first load, grows it geometrically when a bigger checkpoint
+arrives, and retires it with the epoch's lookup ring when the worker is
+restarted or stopped. A load copies the blob into the slab and sends
+only ``(slab name, nbytes)``; the worker keeps the slab attached between
+loads, so neither side pays a fresh segment's page faults per load. The
+worker computes the CRC-32 over the exact slab bytes it is about to
+unpickle and installs nothing unless it matches the checkpoint's tag —
+a torn or corrupted checkpoint is rejected with a typed error, never
+served. The slab write and its load RPC hold the worker's RPC lock
+together. A load that fails or times out marks the worker down (or
+fails the restart attempt that issued it), and the restart that makes
+the worker loadable again brings a new slab, so a late reader never
+sees its bytes rewritten. Inline workers receive the blob bytes
+directly.
 
 Hot *lookup* traffic takes a fourth piece, :class:`LookupRing`: a
 fixed-slot shared-memory request/response ring per worker (raw int64
@@ -68,6 +80,7 @@ import numpy as np
 from ..errors import ConfigurationError, CorruptionDetected, UnknownDataset, WorkerUnavailable
 from ..obs import runtime as obs
 from ..util.backoff import Clock, ExponentialBackoff, SystemClock
+from ..util.slab import Attached, attach_slab, detach_slabs, grow_slab, release_slab
 from .store import Dataset
 
 __all__ = [
@@ -80,11 +93,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.service.cluster")
-
-#: Payloads at or above this many serialized bytes travel via a
-#: shared-memory block instead of the pipe (one copy, no pickle of the
-#: bulk arrays through the connection buffer).
-SHM_BLOB_THRESHOLD = 64 * 1024
 
 #: Worker states, supervisor-side.
 ALIVE = "alive"
@@ -184,9 +192,9 @@ class ShardWorkerState:
         except Exception as exc:  # noqa: BLE001 — reply, don't die
             return ("error", f"{type(exc).__name__}: {exc}")
 
-    def _load(self, name: str, meta: Dict[str, Any],
-              transport: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        blob = _recv_blob(transport)
+    def _load(self, name: str, meta: Dict[str, Any], blob) -> Tuple[Any, ...]:
+        # ``blob`` is bytes inline and a view of the load slab in a worker
+        # process; the CRC covers exactly the bytes that get unpickled.
         crc = zlib.crc32(blob)
         if crc != meta["crc"]:
             return ("error",
@@ -359,6 +367,7 @@ def _worker_main(worker_id: int, epoch: int, conn,
     """
     state = ShardWorkerState(worker_id, epoch)
     ring = LookupRing.attach(ring_name) if ring_name is not None else None
+    slabs: Attached = {}  # this epoch's load slab, attached once
     sel = None
     if ring is not None and doorbell_fd is not None:
         # One selector for the process's lifetime — building one per
@@ -392,41 +401,34 @@ def _worker_main(worker_id: int, epoch: int, conn,
                 except (BrokenPipeError, OSError):
                     pass
                 break
+            reply = (_load_from_slab(state, slabs, msg) if msg[0] == "load"
+                     else state.handle(msg))
             try:
-                conn.send(state.handle(msg))
+                conn.send(reply)
             except (BrokenPipeError, OSError):
                 break
     finally:
+        detach_slabs(slabs)
         if ring is not None:
             ring.close()
 
 
-# -- blob transport -----------------------------------------------------------
+def _load_from_slab(state: ShardWorkerState, slabs: Attached,
+                    msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """Serve a ``load`` whose checkpoint blob sits in the load slab.
 
-
-def _send_blob(blob: bytes) -> Tuple[Tuple[Any, ...], Optional[shared_memory.SharedMemory]]:
-    """Pick a transport for ``blob``: inline bytes, or a shared block.
-
-    Returns ``(transport, shm)``; the caller must ``close()``/``unlink()``
-    the block (if any) once the receiver acknowledged.
+    The message names the slab and the blob's length; the slab stays
+    attached across loads, and the blob is CRC-checked and unpickled
+    straight from the mapping (pickle copies the arrays out, so nothing
+    installed refers to slab memory the next load overwrites).
     """
-    if len(blob) < SHM_BLOB_THRESHOLD:
-        return ("inline", blob), None
-    shm = shared_memory.SharedMemory(create=True, size=len(blob))
-    shm.buf[: len(blob)] = blob
-    return ("shm", shm.name, len(blob)), shm
-
-
-def _recv_blob(transport: Tuple[Any, ...]) -> bytes:
-    """Materialize a blob from its transport descriptor."""
-    if transport[0] == "inline":
-        return transport[1]
-    _, name, nbytes = transport
-    shm = shared_memory.SharedMemory(name=name)
+    _op, name, meta, (slab_name, nbytes) = msg
     try:
-        return bytes(shm.buf[:nbytes])
-    finally:
-        shm.close()
+        slab = attach_slab(slabs, "load", slab_name)
+    except OSError as exc:
+        return ("error", f"cannot attach load slab {slab_name!r}: {exc}")
+    with slab.buf[:nbytes] as blob:
+        return state.handle(("load", name, meta, blob))
 
 
 # =============================================================================
@@ -840,6 +842,9 @@ class WorkerHandle:
     ring_lock: threading.Lock = field(default_factory=threading.Lock)
     ring_lookups: int = 0
     pipe_lookups: int = 0
+    #: The epoch's checkpoint load slab (process mode): written only
+    #: under ``lock``, retired with the ring when the epoch ends.
+    slab: Optional[shared_memory.SharedMemory] = None
 
 
 class WorkerSupervisor:
@@ -950,7 +955,7 @@ class WorkerSupervisor:
         if self.inline:
             handle.inline_state = ShardWorkerState(handle.worker_id, handle.epoch)
         else:
-            self._close_ring(handle)  # a dead epoch's ring is never reused
+            self._retire_shared_memory(handle)  # never reused by a new epoch
             ring: Optional[LookupRing] = None
             doorbell_r = -1
             if self.use_ring:
@@ -977,7 +982,8 @@ class WorkerSupervisor:
             handle.ring = ring
         handle.state = ALIVE
 
-    def _close_ring(self, handle: WorkerHandle) -> None:
+    def _retire_shared_memory(self, handle: WorkerHandle) -> None:
+        """Unlink the epoch's lookup ring and load slab, close its doorbell."""
         # Detach the fd/ring from the handle *under the ring lock* before
         # closing: an in-flight _rpc_ring notify re-reads doorbell_w under
         # the same lock, so it can never write to an fd number the OS has
@@ -985,8 +991,13 @@ class WorkerSupervisor:
         with handle.ring_lock:
             ring, handle.ring = handle.ring, None
             doorbell_w, handle.doorbell_w = handle.doorbell_w, -1
+        # A load holds ``lock`` from its slab write to the worker's reply.
+        with handle.lock:
+            slab, handle.slab = handle.slab, None
         if ring is not None:
             ring.retire()
+        if slab is not None:
+            release_slab(slab)
         if doorbell_w != -1:
             try:
                 os.close(doorbell_w)
@@ -1017,7 +1028,7 @@ class WorkerSupervisor:
                         handle.process.kill()
                         handle.process.join(timeout=2.0)
                     handle.process = None
-                self._close_ring(handle)
+                self._retire_shared_memory(handle)
             handle.state = DOWN
 
     def __enter__(self) -> "WorkerSupervisor":
@@ -1152,26 +1163,55 @@ class WorkerSupervisor:
         # No state check here: the public rpc() gates on ALIVE, while the
         # supervisor's own rehydration path talks to a RESTARTING worker.
         with handle.lock:
-            conn = handle.conn
-            if conn is None:
-                raise WorkerUnavailable(
-                    f"worker {handle.worker_id} has no connection "
-                    f"(state {handle.state})"
+            return self._exchange(handle, msg, timeout)
+
+    def _load_process(self, handle: WorkerHandle, name: str,
+                      meta: Dict[str, Any], blob: bytes):
+        """Ship a checkpoint through the worker's load slab.
+
+        The slab write and the load RPC share one ``lock`` critical
+        section, so nothing rewrites the slab while the worker reads it.
+        A load that fails or times out marks the worker down (or fails
+        the restart attempt that issued it); the next load this worker
+        slot takes follows a restart, which retires this slab, so a late
+        reader in the dead epoch never sees reused bytes.
+        """
+        nbytes = len(blob)
+        with handle.lock:
+            self._require_conn(handle)  # a stopped worker gets no new slab
+            slab = handle.slab = grow_slab(handle.slab, nbytes)
+            slab.buf[:nbytes] = blob
+            return self._exchange(
+                handle, ("load", name, meta, (slab.name, nbytes)),
+                self.rpc_timeout,
+            )
+
+    @staticmethod
+    def _require_conn(handle: WorkerHandle) -> Any:
+        if handle.conn is None:
+            raise WorkerUnavailable(
+                f"worker {handle.worker_id} has no connection "
+                f"(state {handle.state})"
+            )
+        return handle.conn
+
+    def _exchange(self, handle: WorkerHandle, msg, timeout: float):
+        """Send ``msg`` and wait for the reply; the caller holds ``lock``."""
+        conn = self._require_conn(handle)
+        try:
+            conn.send(msg)
+            if not conn.poll(timeout):
+                raise TimeoutError(
+                    f"no reply to {msg[0]!r} within {timeout}s"
                 )
-            try:
-                conn.send(msg)
-                if not conn.poll(timeout):
-                    raise TimeoutError(
-                        f"no reply to {msg[0]!r} within {timeout}s"
-                    )
-                return conn.recv()
-            except (BrokenPipeError, ConnectionResetError, EOFError, OSError,
-                    TimeoutError) as exc:
-                self._mark_down(handle, f"{type(exc).__name__}: {exc}")
-                raise WorkerUnavailable(
-                    f"worker {handle.worker_id} (epoch {handle.epoch}) is "
-                    f"unreachable: {exc}"
-                ) from exc
+            return conn.recv()
+        except (BrokenPipeError, ConnectionResetError, EOFError, OSError,
+                TimeoutError) as exc:
+            self._mark_down(handle, f"{type(exc).__name__}: {exc}")
+            raise WorkerUnavailable(
+                f"worker {handle.worker_id} (epoch {handle.epoch}) is "
+                f"unreachable: {exc}"
+            ) from exc
 
     def _mark_down(self, handle: WorkerHandle, reason: str) -> None:
         if handle.state == ALIVE:
@@ -1247,7 +1287,7 @@ class WorkerSupervisor:
                 handle.process.kill()
             handle.process.join(timeout=2.0)
             handle.process = None
-        self._close_ring(handle)
+        self._retire_shared_memory(handle)
 
     def _rehydrate(self, handle: WorkerHandle) -> None:
         """Install every assigned shard from its current checkpoint."""
@@ -1260,7 +1300,7 @@ class WorkerSupervisor:
 
     def load_shard(self, worker_id: int, name: str, cp: ShardCheckpoint,
                    *, reset: bool = False) -> None:
-        """Ship one checkpoint to a worker (shared-memory for big blobs).
+        """Ship one checkpoint to a worker (through its load slab).
 
         The worker verifies the CRC before installing; ``reset=True``
         drops any state the worker already holds for the dataset (the
@@ -1274,29 +1314,21 @@ class WorkerSupervisor:
             "rows": ds.values.rows, "cols": ds.values.cols,
             "reset": reset,
         }
-        transport, shm = _send_blob(cp.blob)
-        try:
-            handle = self.handles[worker_id]
-            state = handle.state
-            if state != ALIVE and state != RESTARTING:
-                raise WorkerUnavailable(f"worker {worker_id} is {state}")
-            if self.inline:
-                reply = self._rpc_inline(handle, ("load", name, meta, transport))
-            else:
-                reply = self._rpc_process(
-                    handle, ("load", name, meta, transport), self.rpc_timeout
-                )
-            if reply[0] != "ok":
-                self._mark_down(handle, f"load rejected: {reply[1]}")
-                if "CRC" in str(reply[1]):
-                    raise CorruptionDetected(str(reply[1]))
-                raise WorkerUnavailable(
-                    f"worker {worker_id} rejected shard load: {reply[1]}"
-                )
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        handle = self.handles[worker_id]
+        state = handle.state
+        if state != ALIVE and state != RESTARTING:
+            raise WorkerUnavailable(f"worker {worker_id} is {state}")
+        if self.inline:
+            reply = self._rpc_inline(handle, ("load", name, meta, cp.blob))
+        else:
+            reply = self._load_process(handle, name, meta, cp.blob)
+        if reply[0] != "ok":
+            self._mark_down(handle, f"load rejected: {reply[1]}")
+            if "CRC" in str(reply[1]):
+                raise CorruptionDetected(str(reply[1]))
+            raise WorkerUnavailable(
+                f"worker {worker_id} rejected shard load: {reply[1]}"
+            )
 
     # -- health monitoring ----------------------------------------------------
 

@@ -49,6 +49,36 @@ class TestPriorProperty:
         assert decision.predicted == min(arm.prior for arm in arms)
 
 
+class TestArmMemo:
+    def test_memoized_arms_keep_the_decision_sequence(self, monkeypatch):
+        """decide_compute prices each argument tuple once, and a fresh
+        planner still decides exactly as one re-pricing every call."""
+        import repro.autotune.planner as planner_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:3] + (kwargs.get("fused_options"),))
+            return compute_arms(*args, **kwargs)
+
+        reference = fresh_planner(epsilon=0.3, seed=7)
+        monkeypatch.setattr(planner_module, "compute_arms", counting)
+        memoized = fresh_planner(epsilon=0.3, seed=7)
+        requests = [(64, 64, None, (None,)), (32, 32, MachineParams(width=16), (None,)),
+                    (64, 64, None, ("numpy", "native"))] * 4
+        for i, (n, _n, params, fused) in enumerate(requests):
+            got = memoized.decide_compute(n, n, np.float64, params,
+                                          fused_options=fused)
+            key = AutotunePlanner.key_for(n, n, np.float64, params)
+            want = reference.decide(key, compute_arms(
+                n, n, params, model=reference.model, fused_options=fused))
+            assert (got.key, got.arm_id, got.mode) == (want.key, want.arm_id, want.mode)
+            seconds = 0.001 * (1 + i % 3)
+            memoized.observe(got, seconds)
+            reference.observe(want, seconds)
+        assert len(calls) == len(set(calls)) == 3
+
+
 class TestRefinement:
     def test_measured_faster_arm_takes_over(self):
         planner = fresh_planner()

@@ -21,3 +21,23 @@ def small_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def created_shm(monkeypatch):
+    """``(created, real)``: names of the shared-memory blocks this process
+    creates during the test, and the unpatched ``SharedMemory`` class (to
+    probe whether a name still exists without being counted)."""
+    from multiprocessing import shared_memory
+
+    real = shared_memory.SharedMemory
+    created = []
+
+    def tracking(*args, **kwargs):
+        block = real(*args, **kwargs)
+        if kwargs.get("create"):
+            created.append(block.name)
+        return block
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", tracking)
+    return created, real

@@ -189,28 +189,10 @@ def test_poison_task_second_crash_still_raises(rng, monkeypatch):
     assert crashes == 2
 
 
-def _tracking_shared_memory(monkeypatch):
-    """Patch the batch module's SharedMemory to record created block names."""
-    import repro.sat.batch as batch_mod
-    from multiprocessing import shared_memory as shm_mod
-
-    real = shm_mod.SharedMemory
-    created = []
-
-    def tracking(*args, **kwargs):
-        block = real(*args, **kwargs)
-        if kwargs.get("create"):
-            created.append(block.name)
-        return block
-
-    monkeypatch.setattr(batch_mod.shared_memory, "SharedMemory", tracking)
-    return created, real
-
-
-def test_crash_releases_shared_memory_blocks(rng, monkeypatch):
+def test_crash_releases_shared_memory_blocks(rng, monkeypatch, created_shm):
     """Both shared blocks of a crashed batch are unlinked — a worker death
     must not leak /dev/shm segments."""
-    created, real = _tracking_shared_memory(monkeypatch)
+    created, real = created_shm
     monkeypatch.setenv(CRASH_ENV_VAR, "0")
     mats = _random_batch(rng, 4, shape=(8, 8))
     with pytest.raises(WorkerCrashed):
@@ -221,8 +203,8 @@ def test_crash_releases_shared_memory_blocks(rng, monkeypatch):
             real(name=name)
 
 
-def test_successful_batch_releases_shared_memory_blocks(rng, monkeypatch):
-    created, real = _tracking_shared_memory(monkeypatch)
+def test_successful_batch_releases_shared_memory_blocks(rng, created_shm):
+    created, real = created_shm
     mats = _random_batch(rng, 4, shape=(8, 8))
     sats = sat_batch_list(mats, "1R1W", PARAMS, workers=2)
     assert len(sats) == 4

@@ -5,13 +5,16 @@ Most tests use the supervisor's *inline* mode — the same
 real processes run, minus the pipes — so crash/restart/re-hydration
 logic is exercised deterministically and fast. A small set of
 process-mode tests at the end covers what inline cannot: real SIGKILL,
-broken pipes, and the shared-memory blob transport.
+broken pipes, and the per-worker shared-memory load slab.
 """
 
+import dataclasses
 import pickle
+import sys
 import threading
 import time
 import zlib
+from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from repro.service import cluster as cluster_module
 from repro.service.cluster import (
     ALIVE,
     DOWN,
-    SHM_BLOB_THRESHOLD,
     CheckpointStore,
     LookupRing,
     RingUnavailable,
@@ -30,8 +32,6 @@ from repro.service.cluster import (
     WorkerSupervisor,
     _pack_lookup_request,
     _pack_lookup_response,
-    _recv_blob,
-    _send_blob,
     _unpack_lookup_request,
     _unpack_lookup_response,
 )
@@ -66,14 +66,8 @@ def _load_worker(worker, store, ds, name="img", range_ids=None):
             "t": ds.values.t, "nb_c": ds.values.nb_c,
             "rows": ds.values.rows, "cols": ds.values.cols, "reset": i == 0,
         }
-        transport, shm = _send_blob(cp.blob)
-        try:
-            reply = worker.handle(("load", name, meta, transport))
-            assert reply[0] == "ok", reply
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        reply = worker.handle(("load", name, meta, cp.blob))
+        assert reply[0] == "ok", reply
 
 
 # --- worker protocol ----------------------------------------------------------
@@ -110,7 +104,7 @@ def test_worker_rejects_corrupt_checkpoint(rng):
         "rows": ds.values.rows, "cols": ds.values.cols, "reset": True,
     }
     worker = ShardWorkerState(0)
-    status, detail = worker.handle(("load", "img", meta, ("inline", bytes(bad))))
+    status, detail = worker.handle(("load", "img", meta, bytes(bad)))
     assert status == "error" and "CRC" in detail
     assert worker.datasets == {}  # nothing half-installed
 
@@ -146,25 +140,6 @@ def test_worker_unknown_op_and_unknown_dataset(rng):
     assert worker.handle(("lookup", "ghost", [(0, 0)]))[0] == "error"
     assert worker.handle(("delta", "ghost", 1, {}))[0] == "error"
     assert worker.handle(("drop", "ghost"))[0] == "ok"  # drop is idempotent
-
-
-# --- blob transport -----------------------------------------------------------
-
-
-def test_blob_transport_inline_and_shared_memory():
-    small = b"x" * 128
-    transport, shm = _send_blob(small)
-    assert transport[0] == "inline" and shm is None
-    assert _recv_blob(transport) == small
-
-    big = bytes(range(256)) * (SHM_BLOB_THRESHOLD // 256 + 1)
-    transport, shm = _send_blob(big)
-    try:
-        assert transport[0] == "shm"
-        assert _recv_blob(transport) == big
-    finally:
-        shm.close()
-        shm.unlink()
 
 
 # --- checkpoint store ---------------------------------------------------------
@@ -312,20 +287,115 @@ def test_process_worker_sigkill_detected_and_restarted(rng):
         router.close()
 
 
-def test_process_shared_memory_checkpoint_transport(rng):
-    """A dataset big enough that its shard blobs ride shared memory."""
-    n = 96  # 12x12 tiles of 8x8 float64 per range on 1 worker: > 64 KiB
+def test_process_loads_reuse_one_slab_and_growth_unlinks_it(
+        rng, created_shm):
+    """Same-size loads to one worker share one load slab; a bigger
+    checkpoint grows it into one new segment and unlinks the old one."""
+    created, real = created_shm
     sup = WorkerSupervisor(1)
     router = ShardRouter(sup, replicas=1)
     try:
-        a = rng.integers(-50, 50, size=(n, n)).astype(np.float64)
-        ds = router.ingest("img", a, tile=TILE)
-        cp = router.checkpoints.payload_for("img", 0)
-        assert len(cp.blob) >= SHM_BLOB_THRESHOLD  # the test is not vacuous
-        values, _v = sup.rpc(0, ("lookup", "img", [(n - 1, n - 1)]))
-        assert values[0] == ds.values.sat_at(n - 1, n - 1)
+        created.clear()  # count from here: the spawn made the lookup ring
+        for _ in range(3):
+            a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
+            ds = router.ingest("img", a, tile=TILE)
+            values, _v = sup.rpc(0, ("lookup", "img", [(31, 31)]))
+            assert values[0] == ds.values.sat_at(31, 31)
+        assert len(created) == 1 and sup.handles[0].slab.name == created[0]
+
+        big = rng.integers(-50, 50, size=(96, 96)).astype(np.float64)
+        ds = router.ingest("big", big, tile=TILE)
+        values, _v = sup.rpc(0, ("lookup", "big", [(95, 95)]))
+        assert values[0] == ds.values.sat_at(95, 95)
+        assert len(created) == 2 and sup.handles[0].slab.name == created[1]
+        with pytest.raises(FileNotFoundError):
+            real(name=created[0])
     finally:
         router.close()
+
+
+def test_process_restart_and_stop_unlink_retired_slabs(rng):
+    sup = WorkerSupervisor(1)
+    router = ShardRouter(sup, replicas=1)
+    try:
+        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
+        ds = router.ingest("img", a, tile=TILE)
+        first = sup.handles[0].slab.name
+        sup.kill_worker(0)
+        with pytest.raises(WorkerUnavailable):
+            sup.rpc(0, ("ping",))  # broken pipe -> marked down
+        assert sup.restart(0)
+        second = sup.handles[0].slab.name  # the re-hydration's fresh slab
+        assert second != first
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=first)
+        values, _v = sup.rpc(0, ("lookup", "img", [(31, 31)]))
+        assert values[0] == ds.values.sat_at(31, 31)
+    finally:
+        router.close()
+    assert sup.handles[0].slab is None
+    with pytest.raises(FileNotFoundError):
+        SharedMemory(name=second)
+
+
+def test_process_concurrent_loads_never_tear_the_slab(rng):
+    """Loads from more threads than cores share one worker's slab, which
+    grows mid-stream; the RPC lock keeps each slab write with the read
+    that consumes it, so every load passes its CRC and serves exactly."""
+    sup = WorkerSupervisor(1)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        datasets = []
+        for k, n in enumerate((32, 40, 48, 56, 64, 80)):
+            a = rng.integers(-50, 50, size=(n, n)).astype(np.float64)
+            ds = Dataset(f"d{k}", a, TILE)
+            sup.checkpoints.register(ds, [(0, ds.values.nb_r * ds.values.nb_c)])
+            datasets.append(ds)
+        errors = []
+
+        def loader(ds):
+            try:
+                cp = sup.checkpoints.payload_for(ds.name, 0)
+                for _ in range(10):
+                    sup.load_shard(0, ds.name, cp, reset=True)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=loader, args=(ds,)) for ds in datasets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for ds in datasets:
+            n = ds.shape[0]
+            values, _v = sup.rpc(0, ("lookup", ds.name, [(n - 1, n - 1)]))
+            assert values[0] == ds.values.sat_at(n - 1, n - 1)
+    finally:
+        sys.setswitchinterval(previous)
+        sup.stop()
+
+
+def test_process_tampered_checkpoint_through_the_slab_is_rejected(rng):
+    sup = WorkerSupervisor(1)
+    try:
+        ds = _dataset(rng)
+        _store, ranges = _checkpointed(ds)
+        sup.checkpoints.register(ds, ranges)
+        good = sup.checkpoints.payload_for("img", 0)
+        tampered = dataclasses.replace(
+            good, blob=good.blob[:-1] + bytes([good.blob[-1] ^ 0xFF])
+        )  # stale CRC: the worker must notice
+        with pytest.raises(CorruptionDetected):
+            sup.load_shard(0, "img", tampered, reset=True)
+        assert sup.handles[0].slab is not None  # it did ride the slab
+        assert sup.handles[0].state == DOWN
+        info = sup._rpc_process(sup.handles[0], ("ping",), 5.0)[1]
+        assert info["datasets"] == {}  # nothing half-installed
+    finally:
+        sup.stop()
 
 
 def test_monitor_thread_recovers_a_killed_worker(rng):

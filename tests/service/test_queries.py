@@ -72,6 +72,23 @@ class TestRegionSums:
         with pytest.raises(ShapeError):
             region_sums(dataset, np.array([[0, 0, 99, 0]]))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_one_rect_is_bitwise_the_batched_answer(self, rng, dtype):
+        """A batch of one takes scalar lookups; its answer, dtype included,
+        must equal the same rectangle answered inside a larger batch."""
+        a = rng.integers(-100, 100, size=(23, 17))
+        if dtype is not np.int64:
+            a = a * 0.37
+        ds = Dataset("img", a.astype(dtype), 5)
+        other = np.array([3, 4, 20, 15])
+        rects = [(0, 0, 0, 0), (0, 0, 22, 16), (0, 6, 9, 12), (7, 0, 19, 3),
+                 (4, 5, 11, 13)]
+        for rect in rects:
+            one = region_sums(ds, np.array([rect]))
+            pair = region_sums(ds, np.array([rect, other]))
+            assert one.dtype == pair.dtype == ds.values.dtype
+            assert one.tobytes() == pair[:1].tobytes(), rect
+
 
 class TestLocalStats:
     def test_matches_window_oracle(self, rng, dataset):
