@@ -11,7 +11,7 @@ writes them to ``results/BENCH_cluster.json``:
    an unhandled exception is not), every served value bit-exact against
    the shadow oracle, the victim restarted at least once, and the
    restarted worker demonstrably *rejoined* — fresh epoch, shards
-   re-hydrated from CRC-verified checkpoints, serving lookups again.
+   re-hydrated from checksummed checkpoints, serving lookups again.
 2. **Fan-out overhead** — median ``region_sum`` latency through the
    router's ≤4-corner shard fan-out (pipe RPC to worker processes) vs
    the same query answered directly from the local tile aggregates. No

@@ -679,7 +679,7 @@ def _cmd_loadgen_cluster(args) -> int:
     mid-run while the health monitor is live and gates on the full
     robustness contract: zero lost responses, every answer bit-exact
     against the shadow oracle, and the killed worker restarted,
-    re-hydrated from CRC-verified checkpoints, and serving again. With
+    re-hydrated from checksummed checkpoints, and serving again. With
     plain ``--cluster`` the workers stay up and the volley measures the
     query path itself; ``--concurrency N`` keeps N queries in flight so
     the router's coalescer and pipelined fan-out carry real load.

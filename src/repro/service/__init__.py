@@ -29,7 +29,7 @@ what they touch, and a front end that degrades predictably under load.
   (``--chaos``);
 * :mod:`~repro.service.cluster` — :class:`WorkerSupervisor`: a pool of
   shard worker processes with heartbeat health checks, crash detection,
-  automatic restart, and re-hydration from CRC-verified checkpoints
+  automatic restart, and re-hydration from checksummed flat checkpoints
   (:class:`CheckpointStore`);
 * :mod:`~repro.service.router` — :class:`ShardRouter`: contiguous
   tile-range placement across the pool (primary + replicas), ≤4-corner

@@ -11,18 +11,21 @@ circuit breaking) lives in :mod:`repro.service.router`.
 Three pieces:
 
 * :class:`ShardWorkerState` — the worker-side state machine: install a
-  CRC-verified shard checkpoint, apply update deltas, answer point
+  checksum-verified shard checkpoint, apply update deltas, answer point
   lookups. It is transport-agnostic, so the same code runs inside a real
   worker process (``_worker_main``) and inline in the supervisor's
   process (``inline=True``), which is what the deterministic router
   tests drive.
 * :class:`CheckpointStore` — the durable tier the cluster recovers from:
   the authoritative :class:`~repro.service.store.Dataset` per name plus
-  lazily rebuilt, CRC-32-tagged serialized shard payloads (the same
-  integrity idiom as the streaming layer's
-  :class:`~repro.sat.out_of_core.StreamCheckpoint`). A restarted worker
-  re-hydrates from here, and the router's degraded mode answers from the
-  authoritative matrix when a whole range is dark.
+  lazily rebuilt *flat* shard checkpoints, one per range and version: a
+  fixed header (format tag, dtype, tile side, tile range, dataset
+  version, payload length, checksum) followed by the shard's raw arrays.
+  The checksum is a Fletcher-style pair over uint64 words — a plain sum
+  and a block-position-weighted sum, both mod 2^64 — computed once when
+  the checkpoint is built. A restarted worker re-hydrates from here, and
+  the router's degraded mode answers from the authoritative matrix when
+  a whole range is dark.
 * :class:`WorkerSupervisor` — owns the pool: spawn, heartbeat health
   checks, crash detection (a failed RPC *or* missed pings), automatic
   restart with :class:`~repro.util.backoff.ExponentialBackoff` pacing,
@@ -34,18 +37,21 @@ Shard checkpoints cross the process boundary through one persistent
 :mod:`repro.util.slab` helpers): the supervisor creates it at the
 epoch's first load, grows it geometrically when a bigger checkpoint
 arrives, and retires it with the epoch's lookup ring when the worker is
-restarted or stopped. A load copies the blob into the slab and sends
-only ``(slab name, nbytes)``; the worker keeps the slab attached between
-loads, so neither side pays a fresh segment's page faults per load. The
-worker computes the CRC-32 over the exact slab bytes it is about to
-unpickle and installs nothing unless it matches the checkpoint's tag —
-a torn or corrupted checkpoint is rejected with a typed error, never
-served. The slab write and its load RPC hold the worker's RPC lock
-together. A load that fails or times out marks the worker down (or
-fails the restart attempt that issued it), and the restart that makes
-the worker loadable again brings a new slab, so a late reader never
-sees its bytes rewritten. Inline workers receive the blob bytes
-directly.
+restarted or stopped. A load copies the whole checkpoint into the slab
+in one copy and sends only ``(slab name, nbytes)``; the worker keeps the
+slab attached between loads, so neither side pays a fresh segment's
+page faults per load. The worker checks the header and recomputes the
+checksum over the exact slab bytes, then copies the arrays out and
+installs them; neither side pickles. A torn, truncated or tampered
+checkpoint, or one built at a version other than the authoritative
+one, is answered with a ``"corrupt"`` reply that the supervisor raises
+as :class:`~repro.errors.CorruptionDetected` — it is never served, and
+nothing the worker already holds is touched. The slab write and its
+load RPC hold the worker's RPC lock together. A load that fails or
+times out marks the worker down (or fails the restart attempt that
+issued it), and the restart that makes the worker loadable again brings
+a new slab, so a late reader never sees its bytes rewritten. Inline
+workers receive the checkpoint buffer directly.
 
 Hot *lookup* traffic takes a fourth piece, :class:`LookupRing`: a
 fixed-slot shared-memory request/response ring per worker (raw int64
@@ -64,13 +70,11 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import platform
 import selectors
 import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -90,6 +94,9 @@ __all__ = [
     "ShardCheckpoint",
     "ShardWorkerState",
     "WorkerSupervisor",
+    "checkpoint_checksum",
+    "read_checkpoint",
+    "write_checkpoint",
 ]
 
 logger = logging.getLogger("repro.service.cluster")
@@ -145,8 +152,6 @@ class _WorkerDataset:
 
     t: int
     nb_c: int
-    rows: int
-    cols: int
     version: int
     blocks: Dict[int, _ShardBlock] = field(default_factory=dict)  # range_id ->
 
@@ -156,9 +161,11 @@ class ShardWorkerState:
 
     ``handle(msg) -> reply`` implements the whole protocol; both the real
     process loop and the supervisor's inline mode call it. Messages are
-    tuples ``(op, *args)``; replies are ``("ok", payload)`` or
-    ``("error", detail)`` — a worker never lets an exception escape its
-    loop (the supervisor treats a dead pipe, not a reply, as a crash).
+    tuples ``(op, *args)``; replies are ``("ok", payload)``,
+    ``("error", detail)``, or ``("corrupt", detail)`` for a shard
+    checkpoint that failed verification — a worker never lets an
+    exception escape its loop (the supervisor treats a dead pipe, not a
+    reply, as a crash).
     """
 
     def __init__(self, worker_id: int, epoch: int = 0):
@@ -194,24 +201,18 @@ class ShardWorkerState:
 
     def _load(self, name: str, meta: Dict[str, Any], blob) -> Tuple[Any, ...]:
         # ``blob`` is bytes inline and a view of the load slab in a worker
-        # process; the CRC covers exactly the bytes that get unpickled.
-        crc = zlib.crc32(blob)
-        if crc != meta["crc"]:
-            return ("error",
-                    f"shard checkpoint for {name!r} range {meta['range_id']} "
-                    f"failed its CRC (expected {meta['crc']}, got {crc})")
-        state = pickle.loads(blob)
+        # process. It is verified in full before any state changes, so a
+        # rejected load leaves what the worker already serves in place.
+        try:
+            t, block = read_checkpoint(blob, meta["version"])
+        except CorruptionDetected as exc:
+            return ("corrupt",
+                    f"shard checkpoint for {name!r} range {meta['range_id']}: {exc}")
         ds = self.datasets.get(name)
         if ds is None or meta["reset"]:
-            ds = _WorkerDataset(
-                t=meta["t"], nb_c=meta["nb_c"],
-                rows=meta["rows"], cols=meta["cols"], version=meta["version"],
-            )
+            ds = _WorkerDataset(t=t, nb_c=meta["nb_c"], version=meta["version"])
             self.datasets[name] = ds
-        ds.blocks[meta["range_id"]] = _ShardBlock(
-            lo=state["lo"], hi=state["hi"], local=state["local"],
-            col=state["col"], row=state["row"], corner=state["corner"],
-        )
+        ds.blocks[meta["range_id"]] = block
         ds.version = meta["version"]
         return ("ok", meta["version"])
 
@@ -417,10 +418,11 @@ def _load_from_slab(state: ShardWorkerState, slabs: Attached,
                     msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Serve a ``load`` whose checkpoint blob sits in the load slab.
 
-    The message names the slab and the blob's length; the slab stays
-    attached across loads, and the blob is CRC-checked and unpickled
-    straight from the mapping (pickle copies the arrays out, so nothing
-    installed refers to slab memory the next load overwrites).
+    The message names the slab and the checkpoint's length; the slab
+    stays attached across loads, and the checkpoint is verified straight
+    from the mapping. Its arrays are copied out, so nothing installed
+    refers to slab memory the next load overwrites, and no view is left
+    to block the memoryview's release.
     """
     _op, name, meta, (slab_name, nbytes) = msg
     try:
@@ -712,16 +714,129 @@ class LookupRing:
 # =============================================================================
 
 
-@dataclass
+#
+# A shard checkpoint is flat: a fixed header, then the shard's raw arrays
+# (local SATs, column and row edge prefixes, corners), each padded to a
+# whole number of 8-byte words. Nothing is pickled on either side.
+#
+# Header: checksum pair (plain, weighted), format tag, dtype string, t,
+# lo, hi, dataset version and payload length (the bytes after the
+# header). The checksum covers every byte after its own two words, so a
+# flip anywhere, header included, shows.
+#
+# Checksum: the covered bytes as little-endian uint64 words, split into
+# blocks of _SUM_BLOCK words (the last may be short). The pair is the sum
+# of all words and the sum of each block's word sum times its 1-based
+# block index, both mod 2^64 (Fletcher-style, at block granularity). A
+# single flipped bit moves the plain sum by +-2^k, never 0 mod 2^64;
+# moving data between blocks moves the weighted sum. A truncation that
+# happens to drop only zero words is caught by the header's length.
+
+_CKPT_HEADER = struct.Struct("<QQ4s4x8sqqqqq")
+_CKPT_SUMS = struct.Struct("<QQ")
+_CKPT_TAG = b"SCK1"
+_SUM_BLOCK = 4096  # words (32 KiB)
+
+
+def _words(nbytes: int) -> int:
+    """Bytes rounded up to a whole number of 8-byte words."""
+    return -(-nbytes // 8) * 8
+
+
+def checkpoint_checksum(buf, offset: int = 0) -> Tuple[int, int]:
+    """The checkpoint checksum pair over ``buf[offset:]`` (8-byte words)."""
+    words = np.frombuffer(buf, dtype=np.uint64, offset=offset)
+    full = len(words) - len(words) % _SUM_BLOCK
+    sums = np.empty(full // _SUM_BLOCK + 1, dtype=np.uint64)
+    np.sum(words[:full].reshape(-1, _SUM_BLOCK), axis=1, out=sums[:-1])
+    sums[-1] = words[full:].sum()
+    weights = np.arange(1, len(sums) + 1, dtype=np.uint64)
+    return int(sums.sum()), int((sums * weights).sum())
+
+
+def write_checkpoint(arrays: Tuple[np.ndarray, ...], *, lo: int, hi: int,
+                     version: int) -> memoryview:
+    """Pack a shard's ``(local, col, row, corner)`` — ``(k, t, t)``,
+    ``(k, t)``, ``(k, t)`` and ``(k,)`` for ``k = hi - lo`` tiles — into
+    one flat, checksummed checkpoint (a read-only buffer)."""
+    dtype = arrays[0].dtype
+    t = arrays[0].shape[-1]
+    if dtype.hasobject:
+        raise ConfigurationError(f"cannot checkpoint a {dtype} dataset")
+    sizes = [_words(a.nbytes) for a in arrays]
+    buf = np.empty(_CKPT_HEADER.size + sum(sizes), dtype=np.uint8)
+    off = _CKPT_HEADER.size
+    for array, size in zip(arrays, sizes):
+        end = off + array.nbytes
+        buf[off:end].view(dtype).reshape(array.shape)[...] = array
+        buf[end:off + size] = 0  # padding: the checksum covers it
+        off += size
+    _CKPT_HEADER.pack_into(buf, 0, 0, 0, _CKPT_TAG, dtype.str.encode("ascii"),
+                           t, lo, hi, version, len(buf) - _CKPT_HEADER.size)
+    _CKPT_SUMS.pack_into(buf, 0, *checkpoint_checksum(buf, _CKPT_SUMS.size))
+    buf.flags.writeable = False
+    return buf.data
+
+
+def read_checkpoint(blob, version: int) -> Tuple[int, "_ShardBlock"]:
+    """Verify a flat checkpoint and copy its arrays out: ``(t, block)``.
+
+    ``blob`` may be a view of a shared-memory slab: every array is
+    copied out and no view of ``blob`` outlives this call. Raises
+    :class:`~repro.errors.CorruptionDetected` on a torn, truncated or
+    tampered checkpoint, and on one built at a version other than
+    ``version``.
+    """
+    nbytes = len(blob)
+    if nbytes < _CKPT_HEADER.size or nbytes % 8:
+        raise CorruptionDetected(f"{nbytes} bytes is not a whole checkpoint")
+    stored = _CKPT_SUMS.unpack_from(blob, 0)
+    computed = checkpoint_checksum(blob, _CKPT_SUMS.size)
+    if computed != stored:
+        raise CorruptionDetected(
+            f"checkpoint failed its checksum (stored {stored}, computed {computed})"
+        )
+    (_s, _w, tag, dtype_str, t, lo, hi, built, payload
+     ) = _CKPT_HEADER.unpack_from(blob, 0)
+    if tag != _CKPT_TAG:
+        raise CorruptionDetected(f"unknown checkpoint format {tag!r}")
+    if payload != nbytes - _CKPT_HEADER.size:
+        raise CorruptionDetected(
+            f"checkpoint declares {payload} payload bytes but carries "
+            f"{nbytes - _CKPT_HEADER.size}"
+        )
+    if built != version:
+        raise CorruptionDetected(
+            f"checkpoint is for version {built}, expected version {version}"
+        )
+    dtype = np.dtype(dtype_str.rstrip(b"\x00").decode("ascii"))
+    k = hi - lo
+    shapes = ((k, t, t), (k, t), (k, t), (k,))
+    sizes = [_words(int(np.prod(s)) * dtype.itemsize) for s in shapes]
+    if sum(sizes) != payload:
+        raise CorruptionDetected(
+            f"checkpoint payload of {payload} bytes does not hold "
+            f"{k} tiles of side {t} ({dtype})"
+        )
+    arrays = []
+    off = _CKPT_HEADER.size
+    for shape, size in zip(shapes, sizes):
+        arrays.append(np.frombuffer(
+            blob, dtype=dtype, count=int(np.prod(shape)), offset=off
+        ).reshape(shape).copy())
+        off += size
+    return t, _ShardBlock(lo, hi, *arrays)
+
+
+@dataclass(frozen=True)
 class ShardCheckpoint:
-    """One serialized shard at one dataset version, CRC-32 tagged."""
+    """One shard at one dataset version, as a flat checkpoint."""
 
     range_id: int
     lo: int
     hi: int
     version: int
-    blob: bytes
-    crc: int
+    blob: Any  # bytes-like: write_checkpoint's read-only buffer
 
 
 class _CheckpointEntry:
@@ -734,12 +849,12 @@ class _CheckpointEntry:
 
 
 class CheckpointStore:
-    """Authoritative datasets plus CRC-verified shard checkpoints.
+    """Authoritative datasets plus checksummed flat shard checkpoints.
 
     The store is what the cluster *recovers from*: ingest registers the
     dataset and its range decomposition here, updates mutate the
     authoritative copy (through the ordinary bit-exact incremental-update
-    paths), and :meth:`payload_for` serves a serialized shard at the
+    paths), and :meth:`payload_for` serves a flat shard checkpoint at the
     current version — rebuilt lazily, so steady-state updates never pay
     for checkpoints nobody is restoring.
     """
@@ -789,12 +904,11 @@ class CheckpointStore:
                 if cp is not None and cp.version == version:
                     return cp
                 lo, hi = entry.ranges[range_id]
-                blob = pickle.dumps(
-                    ds.values.shard_state(lo, hi), protocol=pickle.HIGHEST_PROTOCOL
+                blob = write_checkpoint(
+                    ds.values.shard_arrays(lo, hi), lo=lo, hi=hi, version=version,
                 )
             cp = ShardCheckpoint(
-                range_id=range_id, lo=lo, hi=hi, version=version,
-                blob=blob, crc=zlib.crc32(blob),
+                range_id=range_id, lo=lo, hi=hi, version=version, blob=blob,
             )
             entry.checkpoints[range_id] = cp
             self.rebuilds += 1
@@ -861,7 +975,7 @@ class WorkerSupervisor:
     immediately (the common case — the router trips over the corpse), and
     the heartbeat monitor catches workers that die while idle. Restarts
     re-hydrate every assigned shard from the :class:`CheckpointStore`
-    (CRC-verified on install) under the topology lock, so a restarted
+    (checksum-verified on install) under the topology lock, so a restarted
     worker is only marked alive with state at the authoritative version.
     """
 
@@ -1166,7 +1280,7 @@ class WorkerSupervisor:
             return self._exchange(handle, msg, timeout)
 
     def _load_process(self, handle: WorkerHandle, name: str,
-                      meta: Dict[str, Any], blob: bytes):
+                      meta: Dict[str, Any], blob):
         """Ship a checkpoint through the worker's load slab.
 
         The slab write and the load RPC share one ``lock`` critical
@@ -1302,17 +1416,18 @@ class WorkerSupervisor:
                    *, reset: bool = False) -> None:
         """Ship one checkpoint to a worker (through its load slab).
 
-        The worker verifies the CRC before installing; ``reset=True``
-        drops any state the worker already holds for the dataset (the
-        first shard of a rehydration, so a half-dead epoch's leftovers
-        can never mix with fresh state).
+        The worker verifies the checkpoint's header and checksum, and
+        that it was built at the authoritative dataset's current version,
+        before installing; a checkpoint that fails raises
+        :class:`~repro.errors.CorruptionDetected` and marks the worker
+        down. ``reset=True`` drops any state the worker already holds for
+        the dataset (the first shard of a rehydration, so a half-dead
+        epoch's leftovers can never mix with fresh state).
         """
         ds = self.checkpoints.dataset(name)
         meta = {
-            "range_id": cp.range_id, "version": cp.version, "crc": cp.crc,
-            "t": ds.values.t, "nb_c": ds.values.nb_c,
-            "rows": ds.values.rows, "cols": ds.values.cols,
-            "reset": reset,
+            "range_id": cp.range_id, "version": ds.version,
+            "nb_c": ds.values.nb_c, "reset": reset,
         }
         handle = self.handles[worker_id]
         state = handle.state
@@ -1324,8 +1439,8 @@ class WorkerSupervisor:
             reply = self._load_process(handle, name, meta, cp.blob)
         if reply[0] != "ok":
             self._mark_down(handle, f"load rejected: {reply[1]}")
-            if "CRC" in str(reply[1]):
-                raise CorruptionDetected(str(reply[1]))
+            if reply[0] == "corrupt":
+                raise CorruptionDetected(f"worker {worker_id}: {reply[1]}")
             raise WorkerUnavailable(
                 f"worker {worker_id} rejected shard load: {reply[1]}"
             )

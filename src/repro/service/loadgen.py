@@ -229,7 +229,7 @@ class ClusterLoadgenReport:
     an answer; an unhandled exception is not), every served value must
     stay bit-exact against the shadow oracle, and the killed worker must
     *rejoin* — restart on a fresh epoch, re-hydrate its shards from
-    CRC-verified checkpoints, and demonstrably serve lookups again.
+    checksummed checkpoints, and demonstrably serve lookups again.
     """
 
     n: int

@@ -59,6 +59,7 @@ import numpy as np
 
 from ..errors import (
     ConfigurationError,
+    CorruptionDetected,
     DeadlineExceeded,
     Overloaded,
     ShapeError,
@@ -338,8 +339,11 @@ class ShardRouter:
 
         The authoritative copy lives in the checkpoint store; each range's
         checkpoint is cut once and shipped to all of its owners (the same
-        CRC-verified payload a post-crash re-hydration would load, so
-        ingest exercises the recovery path on every run).
+        checksummed flat checkpoint a post-crash re-hydration would load,
+        so ingest exercises the recovery path on every run). An owner that
+        is down, or whose load fails or is rejected as corrupt, is left
+        marked down for the monitor to re-hydrate; the other owners still
+        load and the route is published.
         """
         sup = self.supervisor
         ds = Dataset(name, matrix, tile)
@@ -364,7 +368,7 @@ class ShardRouter:
                         sup.load_shard(worker_id, name, cp,
                                        reset=worker_id not in fresh)
                         fresh.add(worker_id)
-                    except WorkerUnavailable:
+                    except (WorkerUnavailable, CorruptionDetected):
                         pass  # marked down; the monitor owns its recovery
             self._routes[name] = route
         obs.inc("cluster_ingests_total")

@@ -150,14 +150,23 @@ class TileAggregates:
         self.dtype = _sat_dtype(matrix.dtype)
         self.version = 0
         t = self.t
-        padded = np.zeros((self.nb_r * t, self.nb_c * t), dtype=self.dtype)
-        padded[: self.rows, : self.cols] = matrix
-        # (nb_r, t, nb_c, t) -> (nb_r, nb_c, t, t), contiguous per tile.
-        self.raw = np.ascontiguousarray(
-            padded.reshape(self.nb_r, t, self.nb_c, t).transpose(0, 2, 1, 3)
-        )
+        # raw is (nb_r, nb_c, t, t), contiguous per tile. Tile-aligned
+        # input is written straight through raw's (nb_r, t, nb_c, t)
+        # view; ragged input goes through a zero-padded copy first.
+        if self.rows % t == 0 and self.cols % t == 0:
+            self.raw = np.empty((self.nb_r, self.nb_c, t, t), dtype=self.dtype)
+            self.raw.transpose(0, 2, 1, 3)[...] = matrix.reshape(
+                self.nb_r, t, self.nb_c, t
+            )
+        else:
+            padded = np.zeros((self.nb_r * t, self.nb_c * t), dtype=self.dtype)
+            padded[: self.rows, : self.cols] = matrix
+            self.raw = np.ascontiguousarray(
+                padded.reshape(self.nb_r, t, self.nb_c, t).transpose(0, 2, 1, 3)
+            )
         if tile_sats is None:
-            self.local = np.cumsum(np.cumsum(self.raw, axis=2), axis=3)
+            self.local = np.cumsum(self.raw, axis=2)
+            np.cumsum(self.local, axis=3, out=self.local)
         else:
             flat = tile_sats(self.raw.reshape(-1, t, t))
             self.local = np.asarray(flat, dtype=self.dtype).reshape(self.raw.shape)
@@ -262,22 +271,25 @@ class TileAggregates:
     # scalar — is gathered per tile, so a worker holding a shard answers
     # F(r, c) for any (r, c) inside its tiles without the rest of the grid.
 
-    def shard_state(self, lo: int, hi: int) -> Dict[str, np.ndarray]:
-        """Per-tile serving state for linearized tiles ``[lo, hi)``.
+    def shard_arrays(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+        """Per-tile serving state ``(local, col, row, corner)`` for
+        linearized tiles ``[lo, hi)``.
 
-        Returns contiguous copies (the payload crosses a process boundary;
-        views would pin the whole aggregate arrays in the pickle).
+        The first three are views: the tile grid flattened to
+        ``(nb_r * nb_c, ...)`` makes a lin range one contiguous slice.
+        The corners are gathered out of the zero-padded grid. The views
+        follow later updates, so a caller that keeps the state copies it
+        under the dataset lock.
         """
-        lins = np.arange(lo, hi, dtype=np.int64)
-        i, j = np.divmod(lins, self.nb_c)
-        return {
-            "lo": int(lo),
-            "hi": int(hi),
-            "local": np.ascontiguousarray(self.local[i, j]),
-            "col": np.ascontiguousarray(self.col_above[i, j]),
-            "row": np.ascontiguousarray(self.row_left[i, j]),
-            "corner": np.ascontiguousarray(self.corner[i, j]),
-        }
+        k = self.nb_r * self.nb_c
+        t = self.t
+        i, j = np.divmod(np.arange(lo, hi, dtype=np.int64), self.nb_c)
+        return (
+            self.local.reshape(k, t, t)[lo:hi],
+            self.col_above.reshape(k, t)[lo:hi],
+            self.row_left.reshape(k, t)[lo:hi],
+            self.corner[i, j],
+        )
 
     def shard_delta(self, i0: int, j0: int, i1: int, j1: int) -> Dict[str, tuple]:
         """Changed per-tile state after a re-fold of the tile box.

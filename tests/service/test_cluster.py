@@ -9,15 +9,15 @@ broken pipes, and the per-worker shared-memory load slab.
 """
 
 import dataclasses
-import pickle
 import sys
 import threading
 import time
-import zlib
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptionDetected, UnknownDataset, WorkerUnavailable
 from repro.service import cluster as cluster_module
@@ -30,6 +30,9 @@ from repro.service.cluster import (
     ShardCheckpoint,
     ShardWorkerState,
     WorkerSupervisor,
+    checkpoint_checksum,
+    read_checkpoint,
+    write_checkpoint,
     _pack_lookup_request,
     _pack_lookup_response,
     _unpack_lookup_request,
@@ -57,17 +60,25 @@ def _checkpointed(ds):
     return store, ranges
 
 
+def _meta(ds, range_id, reset):
+    """The load message's meta, as load_shard builds it."""
+    return {"range_id": range_id, "version": ds.version,
+            "nb_c": ds.values.nb_c, "reset": reset}
+
+
 def _load_worker(worker, store, ds, name="img", range_ids=None):
     """Install checkpoints into a bare ShardWorkerState, as load_shard would."""
     for i, rid in enumerate(range_ids or range(len(store.ranges(name)))):
         cp = store.payload_for(name, rid)
-        meta = {
-            "range_id": cp.range_id, "version": cp.version, "crc": cp.crc,
-            "t": ds.values.t, "nb_c": ds.values.nb_c,
-            "rows": ds.values.rows, "cols": ds.values.cols, "reset": i == 0,
-        }
-        reply = worker.handle(("load", name, meta, cp.blob))
+        reply = worker.handle(("load", name, _meta(ds, rid, i == 0), cp.blob))
         assert reply[0] == "ok", reply
+
+
+def _flip_bit(blob, bit):
+    """A copy of ``blob`` with one bit flipped."""
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
 
 
 # --- worker protocol ----------------------------------------------------------
@@ -96,16 +107,10 @@ def test_worker_rejects_corrupt_checkpoint(rng):
     ds = _dataset(rng)
     store, _ranges = _checkpointed(ds)
     cp = store.payload_for("img", 0)
-    bad = bytearray(cp.blob)
-    bad[len(bad) // 2] ^= 0xFF
-    meta = {
-        "range_id": 0, "version": cp.version, "crc": cp.crc,
-        "t": ds.values.t, "nb_c": ds.values.nb_c,
-        "rows": ds.values.rows, "cols": ds.values.cols, "reset": True,
-    }
+    bad = _flip_bit(cp.blob, 4 * len(cp.blob))  # a bit mid-payload
     worker = ShardWorkerState(0)
-    status, detail = worker.handle(("load", "img", meta, bytes(bad)))
-    assert status == "error" and "CRC" in detail
+    status, _detail = worker.handle(("load", "img", _meta(ds, 0, True), bad))
+    assert status == "corrupt"
     assert worker.datasets == {}  # nothing half-installed
 
 
@@ -147,7 +152,7 @@ def test_worker_unknown_op_and_unknown_dataset(rng):
 
 def test_checkpoints_are_cached_until_the_version_moves(rng):
     ds = _dataset(rng)
-    store, _ranges = _checkpointed(ds)
+    store, ranges = _checkpointed(ds)
     first = store.payload_for("img", 0)
     assert store.payload_for("img", 0) is first  # same version: cached
     assert store.rebuilds == 1
@@ -155,10 +160,12 @@ def test_checkpoints_are_cached_until_the_version_moves(rng):
     second = store.payload_for("img", 0)
     assert second is not first and second.version == ds.version
     assert store.rebuilds == 2
-    # The rebuilt blob reflects the update and round-trips its CRC.
-    assert zlib.crc32(second.blob) == second.crc
-    state = pickle.loads(second.blob)
-    assert state["local"][0, 0, 0] == ds.values.local[0, 0, 0, 0]
+    # The rebuilt checkpoint reflects the update and passes verification.
+    t, block = read_checkpoint(second.blob, ds.version)
+    assert t == TILE and (block.lo, block.hi) == ranges[0]
+    assert block.local[0, 0, 0] == ds.values.local[0, 0, 0, 0]
+    with pytest.raises(CorruptionDetected):
+        read_checkpoint(first.blob, ds.version)  # built at the old version
 
 
 def test_checkpoint_store_unknown_dataset():
@@ -167,6 +174,106 @@ def test_checkpoint_store_unknown_dataset():
         store.dataset("ghost")
     with pytest.raises(UnknownDataset):
         store.payload_for("ghost", 0)
+
+
+# --- flat checkpoint format ---------------------------------------------------
+
+
+def _reference_checksum(data: bytes):
+    """The checksum pair by its definition, in Python integers."""
+    words = [int.from_bytes(data[i:i + 8], sys.byteorder)
+             for i in range(0, len(data), 8)]
+    block = cluster_module._SUM_BLOCK
+    return (sum(words) % 2**64,
+            sum((i // block + 1) * w for i, w in enumerate(words)) % 2**64)
+
+
+@pytest.mark.parametrize("n_words", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_checkpoint_checksum_matches_its_definition(rng, n_words):
+    words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
+    data = words.tobytes()
+    assert checkpoint_checksum(data) == _reference_checksum(data)
+    padded = b"\xff" * 16 + data
+    assert checkpoint_checksum(padded, 16) == _reference_checksum(data)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.complex128])
+def test_flat_checkpoint_round_trips_bitwise(rng, dtype):
+    # Tile 5 puts the float32 sections off the 8-byte grid (padding).
+    m = (rng.standard_normal((23, 31)) * 10).astype(dtype)
+    ds = Dataset("img", m, 5)
+    lo, hi = 3, 20
+    blob = write_checkpoint(ds.values.shard_arrays(lo, hi), lo=lo, hi=hi,
+                            version=ds.version)
+    assert len(blob) % 8 == 0 and blob.readonly
+    t, block = read_checkpoint(blob, ds.version)
+    assert (t, block.lo, block.hi) == (5, lo, hi)
+    got = (block.local, block.col, block.row, block.corner)
+    for array, want in zip(got, ds.values.shard_arrays(lo, hi)):
+        assert array.dtype == want.dtype and array.shape == want.shape
+        assert array.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert array.flags.owndata and array.flags.writeable  # copied out
+
+
+def test_read_checkpoint_leaves_no_view_of_its_buffer(rng):
+    """A load reads straight from the slab; a view that outlived it would
+    make the memoryview's release raise BufferError."""
+    ds = _dataset(rng)
+    store, _ranges = _checkpointed(ds)
+    good = bytearray(store.payload_for("img", 0).blob)
+    with memoryview(good) as view:
+        _t, block = read_checkpoint(view, ds.version)
+    bad = bytearray(_flip_bit(good, 8 * 100))
+    with memoryview(bad) as view:
+        with pytest.raises(CorruptionDetected):
+            read_checkpoint(view, ds.version)
+    good[:] = bytes(len(good))  # the installed arrays are copies
+    assert block.local[0, 0, 0] == ds.values.local[0, 0, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault=st.sampled_from(["flip", "truncate", "stale"]),
+       reingest=st.booleans(), data=st.data())
+def test_flat_checkpoint_faults_are_typed_and_change_nothing(fault, reingest, data):
+    """One flipped bit anywhere (header included), a truncation at any
+    length, or a checkpoint presented under a version it was not built
+    at: each load raises CorruptionDetected and leaves the worker as it
+    was — nothing installed for a fresh name, the previous version still
+    served bit-exact for a re-ingest."""
+    rng = np.random.default_rng(7)
+    old, new = (
+        Dataset("img", rng.integers(-50, 50, size=(32, 32)).astype(np.float64), TILE)
+        for _ in range(2)
+    )
+    whole = [(0, old.values.nb_r * old.values.nb_c)]
+    sup = WorkerSupervisor(1, inline=True, auto_restart=False)
+    try:
+        if reingest:
+            sup.checkpoints.register(old, whole)
+            sup.load_shard(0, "img", sup.checkpoints.payload_for("img", 0), reset=True)
+        sup.checkpoints.register(new, whole)
+        cp = sup.checkpoints.payload_for("img", 0)
+        if fault == "flip":
+            bit = data.draw(st.integers(0, 8 * len(cp.blob) - 1), label="bit")
+            cp = dataclasses.replace(cp, blob=_flip_bit(cp.blob, bit))
+        elif fault == "truncate":
+            cut = data.draw(st.integers(0, len(cp.blob) - 1), label="length")
+            cp = dataclasses.replace(cp, blob=bytes(cp.blob[:cut]))
+        else:
+            new.update_point(3, 3, delta=1.0)  # cp now predates the dataset
+        with pytest.raises(CorruptionDetected):
+            sup.load_shard(0, "img", cp, reset=True)
+        assert sup.handles[0].state == DOWN
+        worker = sup.handles[0].inline_state
+        if not reingest:
+            assert worker.datasets == {}
+            return
+        pts = [(r, c) for r in range(0, 32, 5) for c in range(0, 32, 7)]
+        ok, (values, version) = worker.handle(("lookup", "img", pts))
+        assert ok == "ok" and version == old.version
+        assert values == [old.values.sat_at(r, c).item() for r, c in pts]
+    finally:
+        sup.stop()
 
 
 # --- supervisor (inline mode) -------------------------------------------------
@@ -249,13 +356,95 @@ def test_load_shard_crc_rejection_raises_corruption_detected(rng):
         tampered = ShardCheckpoint(
             range_id=good.range_id, lo=good.lo, hi=good.hi,
             version=good.version,
-            blob=good.blob[:-1] + bytes([good.blob[-1] ^ 0xFF]),
-            crc=good.crc,  # stale CRC: the worker must notice
-        )
+            blob=_flip_bit(good.blob, 8 * len(good.blob) - 1),
+        )  # stale checksum: the worker must notice
         with pytest.raises(CorruptionDetected):
             sup.load_shard(0, "img", tampered)
+        assert sup.handles[0].state == DOWN
     finally:
         sup.stop()
+
+
+def test_ingest_with_a_corrupt_owner_load_still_publishes_the_route(
+        rng, monkeypatch):
+    """Regression: a corrupt load on one owner used to escape ingest after
+    the dataset was registered but before its route was published, so the
+    remaining ranges reached no owner and every later query raised
+    ConfigurationError. The owner is now left down for recovery."""
+    sup = WorkerSupervisor(2, inline=True, auto_restart=False)
+    router = ShardRouter(sup, replicas=2)
+    real = sup._rpc_inline
+    armed = [True]
+
+    def tamper(handle, msg):
+        if armed[0] and msg[0] == "load" and handle.worker_id == 1:
+            msg = msg[:3] + (_flip_bit(msg[3], 8 * 200 + 5),)
+        return real(handle, msg)
+
+    monkeypatch.setattr(sup, "_rpc_inline", tamper)
+    try:
+        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
+        ds = router.ingest("img", a, tile=TILE)
+        assert sup.handles[1].state == DOWN
+        for rect in [(0, 0, 31, 31), (5, 7, 20, 22), (16, 0, 31, 15), (9, 9, 12, 12)]:
+            assert router.region_sum("img", *rect) == local_region_sum(ds, *rect)
+        assert router.counters["degraded"] == 0  # worker 0 got every range
+        armed[0] = False
+        assert sup.restart(1)
+        pts = [(r, c) for r in range(0, 32, 3) for c in range(0, 32, 5)]
+        values, version = sup.rpc(1, ("lookup", "img", pts))
+        assert version == ds.version
+        assert values == [ds.values.sat_at(r, c).item() for r, c in pts]
+    finally:
+        router.close()
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype,tile,inline", [
+    (np.int64, TILE, True),
+    (np.float32, 5, True),
+    (np.float64, TILE, True),
+    (np.float32, 5, False),
+])
+def test_cluster_answers_match_the_single_store_bitwise(rng, dtype, tile, inline):
+    """After ingest, after updates, and after every worker restarted and
+    re-hydrated from checkpoints."""
+    if np.issubdtype(dtype, np.integer):
+        a = rng.integers(-50, 50, size=(23, 31)).astype(dtype)
+    else:
+        a = (rng.standard_normal((23, 31)) * 10).astype(dtype)
+    ref = Dataset("ref", a, tile)
+    rects = [(0, 0, 22, 30), (3, 4, 17, 25), (10, 0, 22, 14), (7, 7, 7, 7)]
+    sup = WorkerSupervisor(2, inline=inline, auto_restart=False)
+    router = ShardRouter(sup, replicas=2)
+
+    def check():
+        for rect in rects:
+            assert _same_bits(router.region_sum("img", *rect),
+                              local_region_sum(ref, *rect)), rect
+        assert router.counters["degraded"] == 0
+
+    try:
+        router.ingest("img", a, tile=tile)
+        check()
+        router.update_point("img", 4, 6, value=dtype(3))
+        ref.update_point(4, 6, value=dtype(3))
+        patch = np.full((4, 3), 2, dtype=dtype)
+        router.update_region("img", 12, 20, patch)
+        ref.update_region(12, 20, patch)
+        check()
+        for w in range(sup.workers):
+            sup.kill_worker(w)
+            with pytest.raises(WorkerUnavailable):
+                sup.rpc(w, ("ping",))
+            assert sup.restart(w)
+        check()
+    finally:
+        router.close()
 
 
 def test_supervisor_stats_shape(rng):
@@ -341,7 +530,8 @@ def test_process_restart_and_stop_unlink_retired_slabs(rng):
 def test_process_concurrent_loads_never_tear_the_slab(rng):
     """Loads from more threads than cores share one worker's slab, which
     grows mid-stream; the RPC lock keeps each slab write with the read
-    that consumes it, so every load passes its CRC and serves exactly."""
+    that consumes it, so every load passes its checksum and serves
+    exactly."""
     sup = WorkerSupervisor(1)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -386,8 +576,8 @@ def test_process_tampered_checkpoint_through_the_slab_is_rejected(rng):
         sup.checkpoints.register(ds, ranges)
         good = sup.checkpoints.payload_for("img", 0)
         tampered = dataclasses.replace(
-            good, blob=good.blob[:-1] + bytes([good.blob[-1] ^ 0xFF])
-        )  # stale CRC: the worker must notice
+            good, blob=_flip_bit(good.blob, 8 * len(good.blob) - 1)
+        )  # stale checksum: the worker must notice
         with pytest.raises(CorruptionDetected):
             sup.load_shard(0, "img", tampered, reset=True)
         assert sup.handles[0].slab is not None  # it did ride the slab
@@ -396,6 +586,48 @@ def test_process_tampered_checkpoint_through_the_slab_is_rejected(rng):
         assert info["datasets"] == {}  # nothing half-installed
     finally:
         sup.stop()
+
+
+def test_process_owner_killed_mid_load_during_ingest(rng, monkeypatch):
+    """SIGKILL one owner after its slab write and before its load reply:
+    the ingest still publishes the route, the other owner serves, the
+    victim re-hydrates bit-exact, and no slab outlives stop()."""
+    sup = WorkerSupervisor(2, auto_restart=False)
+    router = ShardRouter(sup, replicas=2)
+    real_exchange = sup._exchange
+    killed = []
+
+    def exchange(handle, msg, timeout):
+        if msg[0] == "load" and handle.worker_id == 1 and not killed:
+            killed.append(handle.slab.name)  # written, not yet read
+            handle.process.kill()
+            handle.process.join(timeout=2.0)
+        return real_exchange(handle, msg, timeout)
+
+    monkeypatch.setattr(sup, "_exchange", exchange)
+    slabs = []
+    try:
+        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
+        ds = router.ingest("img", a, tile=TILE)
+        assert killed and sup.handles[1].state == DOWN
+        for rect in [(0, 0, 31, 31), (5, 7, 20, 22), (16, 0, 31, 15)]:
+            assert router.region_sum("img", *rect) == local_region_sum(ds, *rect)
+        assert router.counters["degraded"] == 0
+        assert sup.restart(1)
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=killed[0])  # retired with the dead epoch
+        pts = np.array([[r, c] for r in range(0, 32, 3) for c in (0, 17, 31)],
+                       dtype=np.int64)
+        values, version = sup.rpc(1, ("lookup", "img", pts))
+        assert version == ds.version
+        assert np.array_equal(values, [ds.values.sat_at(r, c) for r, c in pts])
+        slabs = [h.slab.name for h in sup.handles]
+    finally:
+        router.close()
+    assert all(h.slab is None for h in sup.handles)
+    for name in slabs:
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=name)
 
 
 def test_monitor_thread_recovers_a_killed_worker(rng):

@@ -8,6 +8,48 @@ from repro.sat.reference import sat_reference
 from repro.service.store import Dataset, TileAggregates, TiledSATStore
 
 
+def _padded_construction(matrix, t):
+    """The tile build by way of a zero-padded copy, with every aggregate
+    folded from scratch: the reference the direct tile-aligned build
+    must match bit for bit."""
+    rows, cols = matrix.shape
+    nb_r, nb_c = -(-rows // t), -(-cols // t)
+    dtype = np.cumsum(np.zeros(1, dtype=matrix.dtype)).dtype
+    padded = np.zeros((nb_r * t, nb_c * t), dtype=dtype)
+    padded[:rows, :cols] = matrix
+    raw = np.ascontiguousarray(
+        padded.reshape(nb_r, t, nb_c, t).transpose(0, 2, 1, 3)
+    )
+    local = np.cumsum(np.cumsum(raw, axis=2), axis=3)
+    col_above = np.zeros((nb_r, nb_c, t), dtype=dtype)
+    col_above[1:] = np.cumsum(local[:-1, :, t - 1, :], axis=0)
+    row_left = np.zeros((nb_r, nb_c, t), dtype=dtype)
+    row_left[:, 1:] = np.cumsum(local[:, :-1, :, t - 1], axis=1)
+    tot_col = np.cumsum(local[:, :, t - 1, t - 1], axis=0)
+    corner = np.zeros((nb_r + 1, nb_c + 1), dtype=dtype)
+    corner[1:, 1:] = np.cumsum(tot_col, axis=1)
+    return {"raw": raw, "local": local, "col_above": col_above,
+            "row_left": row_left, "tot_col": tot_col, "corner": corner}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32, np.float64, np.bool_])
+@pytest.mark.parametrize("shape", [(64, 64), (64, 72), (1, 37), (37, 1)])
+def test_tile_build_is_bit_identical_to_the_padded_construction(rng, dtype, shape):
+    if dtype is np.bool_:
+        m = rng.integers(0, 2, size=shape).astype(bool)
+    elif np.issubdtype(dtype, np.floating):
+        m = (rng.standard_normal(shape) * 10).astype(dtype)
+        m[:8, :8] = -0.0  # a whole tile of -0.0 keeps -0.0 sums
+        m.flat[::7] = -0.0
+    else:
+        m = rng.integers(-99, 100, size=shape).astype(dtype)
+    agg = TileAggregates(m, 8)
+    for name, want in _padded_construction(m, 8).items():
+        got = getattr(agg, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
+
+
 class TestTileAggregates:
     @pytest.mark.parametrize("shape,tile", [
         ((8, 8), 4), ((7, 11), 3), ((1, 9), 4), ((9, 1), 2),
