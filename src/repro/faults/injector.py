@@ -162,6 +162,13 @@ class FaultyGlobalMemory(GlobalMemory):
             super().read_hrun(name, row, col, length), self.counters
         )
 
+    def read_block(
+        self, name: str, row: int, col: int, height: int, width: int
+    ) -> np.ndarray:
+        return self.injector.filter_read(
+            super().read_block(name, row, col, height, width), self.counters
+        )
+
     def read_strip(
         self, name: str, row: int, col: int, height: int, width: int
     ) -> np.ndarray:
@@ -176,9 +183,9 @@ class FaultyGlobalMemory(GlobalMemory):
             super().read_strip_stride(name, row, col, height, width), self.counters
         )
 
-    def read_scatter(self, name: str, rows, cols) -> np.ndarray:
+    def read_drun(self, name: str, row: int, col: int, length: int) -> np.ndarray:
         return self.injector.filter_read(
-            super().read_scatter(name, rows, cols), self.counters
+            super().read_drun(name, row, col, length), self.counters
         )
 
     def read_vrun(self, name: str, col: int, row: int, length: int) -> np.ndarray:

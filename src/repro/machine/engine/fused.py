@@ -45,6 +45,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..macro.global_memory import drun_view
+
 __all__ = [
     "FusedKernelSpec",
     "BlockStageSpec",
@@ -156,35 +158,35 @@ class SingleBlockSatSpec(FusedKernelSpec):
 
 
 class ScatterStageSpec(FusedKernelSpec):
-    """One 4R1W anti-diagonal stage: Formula (1) over precomputed indices.
+    """One 4R1W anti-diagonal stage: Formula (1) over strided views.
 
-    The ``(i, j)`` index arrays of the whole diagonal (every chunk task
-    concatenated in chunk order) and the boundary-neighbor index arrays
-    are computed once at plan-compile time; execution is five
-    fancy-indexing calls.
+    Holds only the stage ``k``, its first row ``i0`` and its ``length``
+    (every chunk task of the diagonal, in chunk order). Execution makes
+    the tasks' five accesses on four strided views of the whole diagonal
+    — the run itself, read and updated in place, and its left, upper and
+    corner neighbours — each bounds-checked by its two ends, with no
+    index arrays.
     """
 
-    def __init__(self, buf: str, i: np.ndarray, j: np.ndarray):
+    def __init__(self, buf: str, k: int, i0: int, length: int):
         self.buf = buf
-        self.i = np.asarray(i, dtype=np.int64)
-        self.j = np.asarray(j, dtype=np.int64)
-        hl = np.flatnonzero(self.j > 0)
-        hu = np.flatnonzero(self.i > 0)
-        bo = np.flatnonzero((self.j > 0) & (self.i > 0))
-        self.hl, self.hl_i, self.hl_j = hl, self.i[hl], self.j[hl] - 1
-        self.hu, self.hu_i, self.hu_j = hu, self.i[hu] - 1, self.j[hu]
-        self.bo, self.bo_i, self.bo_j = bo, self.i[bo] - 1, self.j[bo] - 1
+        self.k, self.i0, self.length = k, i0, length
 
     def execute(self, gm) -> None:
         a = gm.array(self.buf)
-        s = a[self.i, self.j]  # fancy indexing copies: the original values
-        if self.hl.size:
-            s[self.hl] += a[self.hl_i, self.hl_j]
-        if self.hu.size:
-            s[self.hu] += a[self.hu_i, self.hu_j]
-        if self.bo.size:
-            s[self.bo] -= a[self.bo_i, self.bo_j]
-        a[self.i, self.j] = s
+        i0, length = self.i0, self.length
+        j0 = self.k - i0
+        u0 = 1 if i0 == 0 else 0  # first element with an upper neighbour
+        n_left = min(length, j0)  # elements with a left neighbour
+        s = drun_view(a, i0, j0, length, self.buf)  # updated in place
+        if n_left > 0:
+            s[:n_left] += drun_view(a, i0, j0 - 1, n_left, self.buf)
+        if length > u0:
+            s[u0:] += drun_view(a, i0 + u0 - 1, j0 - u0, length - u0, self.buf)
+        if n_left > u0:
+            s[u0:n_left] -= drun_view(
+                a, i0 + u0 - 1, j0 - u0 - 1, n_left - u0, self.buf
+            )
 
 
 class Step1Spec(FusedKernelSpec):

@@ -79,6 +79,7 @@ __all__ = [
     "native_stats",
     "reset",
     "resolve_fused",
+    "use_one_thread",
 ]
 
 #: Selects the backend ``fused=True`` means: ``numpy`` (default) or
@@ -141,8 +142,22 @@ def _tile_block() -> Tuple[str, str, str]:
 _C_PRELUDE = r"""
 #include <stdlib.h>
 #include <string.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 typedef long long i64;
+
+/* Thread count of later parallel regions. A forked child of a process
+ * that already ran a parallel region must set 1 before its first one:
+ * libgomp's thread pool does not survive fork. */
+void repro_set_threads(i64 n) {
+#ifdef _OPENMP
+    omp_set_num_threads((int)n);
+#else
+    (void)n;
+#endif
+}
 
 /* numpy's pairwise summation over a contiguous run, reproduced exactly
  * (eight-accumulator base case, blocksize 128, left-leaning splits
@@ -477,6 +492,7 @@ def generate_c_source() -> str:
 
 
 _CDEF = """
+void repro_set_threads(long long n);
 void repro_column_scan(double *a, long long ld, long long row0,
                        long long col0, long long nr, long long nc);
 void repro_row_scan(double *a, long long ld, long long nr, long long nc);
@@ -617,6 +633,9 @@ class CffiBackend:
 
     # -- entry points (shared signature contract with the numba backend) ----
 
+    def set_threads(self, count):
+        self._lib.repro_set_threads(count)
+
     def column_scan(self, a, row0, col0, nr, nc):
         self._lib.repro_column_scan(self._p(a), a.shape[1], row0, col0, nr, nc)
 
@@ -691,6 +710,7 @@ class _State:
         self.failure: Optional[str] = None
         self.warned = False
         self.probing = False
+        self.one_thread = False
         self.stats: Dict[str, int] = {
             "modules_compiled": 0,
             "lowered_groups": 0,
@@ -795,6 +815,8 @@ def ensure_backend() -> Optional[object]:
         if not _STATE.resolved:
             backend, failure = _build_backend()
             if backend is not None and failure is None:
+                if _STATE.one_thread:
+                    backend.set_threads(1)
                 _STATE.backend = backend
                 _STATE.probing = True
                 try:
@@ -820,6 +842,24 @@ def ensure_backend() -> Optional[object]:
         return _STATE.backend
 
 
+def use_one_thread() -> None:
+    """Run this process's native kernels on one thread from now on.
+
+    A forked batch-pool worker calls this before its first task: libgomp
+    is not fork-safe, so a child of a process that already ran a parallel
+    region would block forever in its own first one on more threads; one
+    thread per worker also keeps workers times threads within the CPUs.
+    Applied to the loaded backend at once, or else when it loads (before
+    its self-check probe); never builds or loads the backend itself, so
+    a worker that runs no native kernel pays nothing. Takes no lock: in a
+    forked child, a lock another parent thread held at the fork stays
+    held.
+    """
+    _STATE.one_thread = True
+    if _STATE.backend is not None:
+        _STATE.backend.set_threads(1)
+
+
 def native_available() -> bool:
     """Whether ``fused="native"`` would actually run native kernels here."""
     return ensure_backend() is not None
@@ -833,6 +873,7 @@ def native_stats() -> Dict[str, object]:
         stats["available"] = _STATE.backend is not None
         stats["toolchain"] = getattr(_STATE.backend, "kind", None)
         stats["failure"] = _STATE.failure
+        stats["one_thread"] = _STATE.one_thread
         return stats
 
 
@@ -935,8 +976,8 @@ def _lower_single_block_sat(spec, backend):
 
 
 def _lower_scatter_stage(spec, backend):
-    i = np.ascontiguousarray(spec.i, dtype=np.int64)
-    j = np.ascontiguousarray(spec.j, dtype=np.int64)
+    i = np.arange(spec.i0, spec.i0 + spec.length, dtype=np.int64)
+    j = spec.k - i
 
     def run(gm):
         backend.scatter_stage(gm.array(spec.buf), i, j)

@@ -33,7 +33,7 @@ def build():
     caller degrades gracefully.
     """
     import numpy as np
-    from numba import njit, prange
+    from numba import njit, prange, set_num_threads
 
     @njit(cache=True)
     def pairwise(a, lo, n):
@@ -281,6 +281,7 @@ def build():
         kind = "numba"
 
         def __init__(self):
+            self.set_threads = set_num_threads
             self.column_scan = column_scan
             self.row_scan = row_scan
             self.transpose = transpose

@@ -5,17 +5,22 @@ as a CUDA program would place matrices in device memory. Every access goes
 through an API that both *moves the data* (so algorithm correctness is
 checked for real) and *classifies the traffic*:
 
-* horizontal runs (``read_hrun`` / ``write_hrun``) are coalesced — a warp
-  of ``w`` threads reading ``w`` consecutive words in one transaction. The
-  exact transaction count is derived from the linear addresses, so
-  misaligned runs are charged the extra address group they straddle.
-* vertical runs (``read_vrun`` / ``write_vrun``) and scattered element
-  access (``read_at`` / ``write_at``) are stride — each element occupies
-  its own pipeline stage, the pattern the paper shows dominating 2R2W's
-  and 4R1W's running time.
+* horizontal runs (``read_hrun`` / ``write_hrun``) and blocks
+  (``read_block`` / ``write_block``, one horizontal run per block row)
+  are coalesced — a warp of ``w`` threads reading ``w`` consecutive words
+  in one transaction. The exact transaction count is derived from the
+  linear addresses, so misaligned runs are charged the extra address
+  group they straddle.
+* vertical runs (``read_vrun`` / ``write_vrun``), anti-diagonal runs
+  (``read_drun`` / ``write_drun``) and single words (``read_at`` /
+  ``write_at``) are stride — each element occupies its own pipeline
+  stage, the pattern the paper shows dominating 2R2W's and 4R1W's running
+  time. Anti-diagonal neighbours are ``cols - 1`` words apart, so a
+  diagonal run is one strided view of the row-major buffer.
 
-Block helpers (``read_block`` / ``write_block``) decompose into one
-horizontal run per block row.
+Every run is monotone in both coordinates, so each access is
+bounds-checked in O(1) by its two ends and moves its data as one slice —
+no per-element index arrays.
 """
 
 from __future__ import annotations
@@ -134,6 +139,33 @@ def transactions_for_run(start_address: int, length: int, width: int) -> int:
     return (start_address + length - 1) // width - start_address // width + 1
 
 
+def drun_view(
+    arr: np.ndarray, row: int, col: int, length: int, name: str = ""
+) -> np.ndarray:
+    """Writable view of ``(row + t, col - t)`` for ``t < length`` in ``arr``.
+
+    ``arr`` is a row-major 2-D buffer, so the run is one strided slice
+    with step ``cols - 1``. Both coordinates are monotone along the run,
+    so its two ends bound every element: the check is O(1) whatever the
+    length, and raises :class:`~repro.errors.AccessError`.
+    """
+    if arr.ndim != 2:
+        raise AccessError(f"drun requires a 2-D buffer, {name!r} is {arr.ndim}-D")
+    rows, cols = arr.shape
+    if length <= 0:
+        if length < 0:
+            raise AccessError(f"drun length {length} is negative")
+        return arr.reshape(-1)[:0]
+    if row < 0 or row + length > rows or col >= cols or col - length + 1 < 0:
+        raise AccessError(
+            f"drun from ({row}, {col}) of length {length} outside buffer "
+            f"{name!r} of shape {arr.shape}"
+        )
+    step = cols - 1 or 1  # one column: a run holds at most one word
+    start = row * cols + col
+    return arr.reshape(-1)[start : start + (length - 1) * step + 1 : step]
+
+
 class GlobalMemory:
     """Named row-major buffers with coalesced/stride access accounting."""
 
@@ -202,7 +234,9 @@ class GlobalMemory:
         """
         if name in self._buffers:
             raise AccessError(f"buffer {name!r} already allocated")
-        arr = np.array(array)  # defensive copy, keeps dtype
+        # Defensive copy, keeps dtype; row-major like device memory, so a
+        # diagonal run is one strided view of the flat buffer.
+        arr = np.array(array, order="C")
         if arr.ndim not in (1, 2):
             raise ShapeError(f"buffers must be 1-D or 2-D, got ndim={arr.ndim}")
         self._buffers[name] = arr
@@ -306,10 +340,12 @@ class GlobalMemory:
         if height == 0:
             return np.empty((0, width))
         if self._require(name).ndim == 1:
-            # 1-D buffers only admit row 0; keep the hrun path for its
-            # exact bounds diagnostics.
-            rows = [self.read_hrun(name, row + r, col, width) for r in range(height)]
-            return np.stack(rows)
+            # A 1-D buffer is one row: only a one-row block at row 0 fits.
+            if height != 1:
+                raise AccessError(f"1-D buffer {name!r} has one row, not {height}")
+            arr, idx = self._hrun_slice(name, row, col, width)
+            self._charge_coalesced(name, row, col, width)
+            return arr[idx][None, :].copy()
         arr = self._strip_slice(name, row, col, height, width)
         self._charge_strip_coalesced(name, row, col, height, width)
         return arr[row : row + height, col : col + width].copy()
@@ -422,46 +458,30 @@ class GlobalMemory:
         self._log_block_write(name, row, col, values)
         arr[row : row + h, col : col + wdt] = values
 
-    # --- scattered (fancy-indexed) access: always stride ----------------------
+    # --- stride access: anti-diagonal runs, vertical runs, single words -------
 
-    def _scatter_check(self, name: str, rows: np.ndarray, cols: np.ndarray):
-        arr = self._require(name)
-        if arr.ndim != 2:
-            raise AccessError("scatter access requires a 2-D buffer")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ShapeError("rows and cols must be equal-length 1-D arrays")
-        if rows.size and (
-            rows.min() < 0
-            or cols.min() < 0
-            or rows.max() >= arr.shape[0]
-            or cols.max() >= arr.shape[1]
-        ):
-            raise AccessError(f"scatter indices outside buffer {name!r} of shape {arr.shape}")
-        return arr, rows, cols
-
-    def read_scatter(self, name: str, rows, cols) -> np.ndarray:
-        """Stride read of arbitrary (row, col) pairs (one op per element)."""
-        arr, rows, cols = self._scatter_check(name, rows, cols)
+    def read_drun(self, name: str, row: int, col: int, length: int) -> np.ndarray:
+        """Stride read of ``length`` words down-left along an anti-diagonal."""
+        view = drun_view(self._require(name), row, col, length, name)
         if self._counting:
-            self.counters.stride_ops += int(rows.size)
-        return arr[rows, cols].copy()
+            self.counters.stride_ops += length
+        return view.copy()
 
-    def write_scatter(self, name: str, rows, cols, values) -> None:
-        """Stride write of arbitrary (row, col) pairs (one op per element)."""
-        arr, rows, cols = self._scatter_check(name, rows, cols)
+    def write_drun(self, name: str, row: int, col: int, values: np.ndarray) -> None:
+        """Stride write of words down-left along an anti-diagonal."""
         values = np.asarray(values)
-        if values.shape != rows.shape:
-            raise ShapeError("values must match the index arrays' shape")
+        if values.ndim != 1:
+            raise ShapeError("write_drun takes a 1-D value array")
+        length = values.shape[0]
+        arr = self._require(name)
+        view = drun_view(arr, row, col, length, name)
         if self._counting:
-            self.counters.stride_ops += int(rows.size)
-        if self._write_log is not None and rows.size:
-            base = self._base_addresses[name]
-            self._log_scatter_write(base + rows * arr.shape[1] + cols, values)
-        arr[rows, cols] = values
-
-    # --- stride (vertical-run / scattered) access -----------------------------
+            self.counters.stride_ops += length
+        if self._write_log is not None and length:
+            start = self.linear_address(name, row, col)
+            steps = np.arange(length, dtype=np.int64) * (arr.shape[1] - 1)
+            self._log_scatter_write(start + steps, values)
+        view[...] = values
 
     def _vrun_check(self, name: str, col: int, row: int, length: int) -> np.ndarray:
         arr = self._require(name)

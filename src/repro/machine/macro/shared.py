@@ -112,7 +112,11 @@ class SharedAllocator:
         return self._params.shared_capacity_words - self._used_words
 
     def alloc(self, shape, dtype=np.float64) -> SharedArray:
-        words = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        if isinstance(shape, (int, np.integer)):
+            shape = (int(shape),)
+        words = 1
+        for extent in shape:
+            words *= int(extent)
         if words < 0:
             raise SharedMemoryOverflow(f"invalid allocation shape {shape!r}")
         if self._used_words + words > self._params.shared_capacity_words:
@@ -121,7 +125,7 @@ class SharedAllocator:
                 f"(capacity {self._params.shared_capacity_words}); the HMM "
                 "bounds shared memory at 4*w*w words per DMM"
             )
-        arr = SharedArray(shape if not np.isscalar(shape) else (shape,), dtype, self._counters)
+        arr = SharedArray(shape, dtype, self._counters)
         self._allocations.append(arr)
         self._used_words += words
         return arr

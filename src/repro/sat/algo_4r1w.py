@@ -7,13 +7,15 @@ with ``i + j == k``, reading already-final neighbors (Figure 10). The
 computation is in place — ``a[i][j]`` is only overwritten at its own
 stage.
 
-Every access is scattered (anti-diagonal elements are ``n - 1`` words
-apart), so all traffic is stride: up to 4 reads and 1 write per element,
-``5 n^2`` stride ops total, with a barrier after every one of the
-``2n - 1`` stages (Lemma 5: cost ``~5 n^2 + 2 n l``). Both the stride
-traffic and the kernel-launch latency are maximal — the paper measures
-this as by far the slowest GPU algorithm, and this reproduction's model
-agrees.
+Anti-diagonal elements are ``n - 1`` words apart, so every access is
+stride: each block task reads its chunk of the diagonal and the three
+neighbouring runs (left, up, corner) and writes the chunk back, each as
+one anti-diagonal run (``read_drun`` / ``write_drun``) — up to 4 reads and
+1 write per element, ``5 n^2`` stride ops total, with a barrier after
+every one of the ``2n - 1`` stages (Lemma 5: cost ``~5 n^2 + 2 n l``).
+Both the stride traffic and the kernel-launch latency are maximal — the
+paper measures this as by far the slowest GPU algorithm, and this
+reproduction's model agrees.
 
 The class exposes ``snapshot_after_stage`` so the Figure 10 benchmark can
 show the half-computed matrix exactly as the paper draws it.
@@ -47,33 +49,36 @@ class FourReadOneWrite(SATAlgorithm):
         # kernels, which a reusable plan cannot express.
         return self.snapshot_after_stage is None
 
-    def _stage_task(self, rows: int, cols: int, k: int, chunk: int):
-        """One block task evaluating Formula (1) on a ``w``-element chunk of
-        anti-diagonal ``k`` (one thread per element, ``w`` threads per block,
-        matching the paper's thread layout)."""
+    @staticmethod
+    def _stage_task(k: int, i0: int, length: int):
+        """One block task evaluating Formula (1) on ``length`` elements of
+        anti-diagonal ``k`` from row ``i0`` (one thread per element, at
+        most ``w`` per block, matching the paper's thread layout).
+
+        The run's elements are ``(i0 + t, k - i0 - t)``. Every one has an
+        upper neighbour unless ``i0 == 0`` (then the first has none), and a
+        left neighbour unless the run reaches column 0 (then the last has
+        none); the neighbour runs are those sub-runs shifted up, left, or
+        both.
+        """
+        j0 = k - i0
+        u0 = 1 if i0 == 0 else 0  # first element with an upper neighbour
+        n_left = min(length, j0)  # elements with a left neighbour
 
         def task(ctx: BlockContext) -> None:
-            w = ctx.params.width
-            i_lo = max(0, k - (cols - 1))
-            i_hi = min(k, rows - 1)
-            start = i_lo + chunk * w
-            i = np.arange(start, min(start + w, i_hi + 1))
-            j = k - i
-            s = ctx.gm.read_scatter(MATRIX_BUFFER, i, j)  # original a values
-            has_left = j > 0
-            has_up = i > 0
-            if has_left.any():
-                s[has_left] += ctx.gm.read_scatter(
-                    MATRIX_BUFFER, i[has_left], j[has_left] - 1
+            gm = ctx.gm
+            s = gm.read_drun(MATRIX_BUFFER, i0, j0, length)  # original a values
+            if n_left > 0:
+                s[:n_left] += gm.read_drun(MATRIX_BUFFER, i0, j0 - 1, n_left)
+            if length > u0:
+                s[u0:] += gm.read_drun(
+                    MATRIX_BUFFER, i0 + u0 - 1, j0 - u0, length - u0
                 )
-            if has_up.any():
-                s[has_up] += ctx.gm.read_scatter(
-                    MATRIX_BUFFER, i[has_up] - 1, j[has_up]
+            if n_left > u0:
+                s[u0:n_left] -= gm.read_drun(
+                    MATRIX_BUFFER, i0 + u0 - 1, j0 - u0 - 1, n_left - u0
                 )
-            both = has_left & has_up
-            if both.any():
-                s[both] -= ctx.gm.read_scatter(MATRIX_BUFFER, i[both] - 1, j[both] - 1)
-            ctx.gm.write_scatter(MATRIX_BUFFER, i, j, s)
+            gm.write_drun(MATRIX_BUFFER, i0, j0, s)
 
         return task
 
@@ -81,14 +86,12 @@ class FourReadOneWrite(SATAlgorithm):
         w = executor.params.width
         for k in range(rows + cols - 1):
             i_lo = max(0, k - (cols - 1))
-            i_hi = min(k, rows - 1)
-            length = i_hi - i_lo + 1
+            length = min(k, rows - 1) - i_lo + 1
             tasks = [
-                self._stage_task(rows, cols, k, chunk)
-                for chunk in range(-(-length // w))
+                self._stage_task(k, i0, min(w, i_lo + length - i0))
+                for i0 in range(i_lo, i_lo + length, w)
             ]
-            i = np.arange(i_lo, i_hi + 1)
-            attach_fused_spec(tasks, ScatterStageSpec(MATRIX_BUFFER, i, k - i))
+            attach_fused_spec(tasks, ScatterStageSpec(MATRIX_BUFFER, k, i_lo, length))
             executor.run_kernel(tasks, label=f"stage{k}")
             if self.snapshot_after_stage is not None and k == self.snapshot_after_stage:
                 self.snapshot = executor.gm.array(MATRIX_BUFFER).copy()

@@ -171,8 +171,9 @@ def _warm_worker_main(worker_id, conn, algorithm, params, fast, fused, seed,
     ``task_error`` record instead (the parent treats a dead pipe, not a
     reply, as a crash).
     """
-    from ..machine.engine import ExecutionEngine, PlanCache
+    from ..machine.engine import ExecutionEngine, PlanCache, native
 
+    native.use_one_thread()  # before any native kernel; see its docstring
     engine = ExecutionEngine(cache=PlanCache())
     attached: dict = {}
     seen_shapes = set()

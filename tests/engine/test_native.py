@@ -46,6 +46,15 @@ def fresh_engine() -> ExecutionEngine:
     return ExecutionEngine(cache=PlanCache())
 
 
+class TestOneThread:
+    def test_before_load_resolves_nothing(self, clean_native):
+        assert native_stats()["one_thread"] is False
+        native.use_one_thread()
+        stats = native_stats()
+        assert stats["resolved"] is False
+        assert stats["one_thread"] is True
+
+
 class TestBackendSelection:
     def test_resolve_false_stays_false(self):
         assert native.resolve_fused(False) is False
@@ -149,6 +158,7 @@ class TestLowering:
     def test_generated_source_contains_every_kernel(self):
         src = native.generate_c_source()
         for symbol in (
+            "repro_set_threads",
             "repro_pairwise",
             "repro_tile_sat",
             "repro_column_scan",
@@ -221,6 +231,17 @@ class TestNativeExecution:
         result = algo.compute(a, PARAMS, engine=engine, fast=True, fused="native")
         assert np.array_equal(result.sat, counted.sat)
         assert result.counters.as_dict() == counted.counters.as_dict()
+
+    @pytest.mark.parametrize("name", ["2R1W", "1R1W", "4R1W"])
+    def test_fortran_ordered_input(self, name, rng):
+        # Global memory is row-major whatever the input's layout; the
+        # native kernels take C-contiguous buffers only.
+        a = np.asfortranarray(rng.standard_normal((24, 24)))
+        algo = make_algorithm(name)
+        engine = fresh_engine()
+        counted = algo.compute(a, PARAMS, engine=engine)
+        result = algo.compute(a, PARAMS, engine=engine, fast=True, fused="native")
+        assert np.array_equal(result.sat, counted.sat)
 
     def test_mode_tagged_native_in_observability(self, rng):
         a = rng.integers(0, 50, size=(16, 16)).astype(np.float64)

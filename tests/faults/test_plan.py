@@ -8,7 +8,21 @@ import pytest
 from repro.errors import ConfigurationError, TransientFault
 from repro.faults import FaultInjector, FaultPlan, FaultyGlobalMemory
 from repro.machine.cost import access_cost, breakdown
+from repro.machine.macro.global_memory import GlobalMemory
 from repro.machine.params import MachineParams
+
+#: Arguments for every public read method of GlobalMemory on a 4x4 "A".
+#: A read method missing here fails the walk below, so no read path can
+#: slip past fault injection unnoticed.
+READ_CALLS = {
+    "read_at": ("A", 1, 1),
+    "read_block": ("A", 0, 0, 2, 4),
+    "read_drun": ("A", 0, 3, 4),
+    "read_hrun": ("A", 1, 0, 4),
+    "read_strip": ("A", 0, 0, 2, 4),
+    "read_strip_stride": ("A", 0, 0, 2, 4),
+    "read_vrun": ("A", 1, 0, 3),
+}
 
 
 def task_schedule(plan, kernels=20, blocks=20):
@@ -115,6 +129,17 @@ class TestFaultyGlobalMemory:
         first, second = run(), run()
         assert np.array_equal(first, second, equal_nan=True)
         assert np.isnan(first).any()  # rate 0.5 over 4 reads: seed chosen to hit
+
+    def test_every_read_method_is_corrupted(self):
+        methods = {m for m in dir(GlobalMemory) if m.startswith("read_")}
+        assert methods == set(READ_CALLS)
+        for method in sorted(methods):
+            plan = FaultPlan(seed=0, corrupt_read_rate=1.0)
+            gm = FaultyGlobalMemory(self.params(), injector=FaultInjector(plan))
+            gm.install("A", np.ones((4, 4)))
+            out = getattr(gm, method)(*READ_CALLS[method])
+            assert np.isnan(out).any(), f"{method} escaped fault injection"
+            assert gm.injector.stats["reads_corrupted"] == 1, method
 
     def test_writes_never_tampered(self):
         plan = FaultPlan(seed=0, corrupt_read_rate=1.0)

@@ -45,6 +45,13 @@ class TestAllocation:
         src[0, 0] = 99
         assert gm.array("B")[0, 0] == 1
 
+    def test_install_stores_row_major(self, gm):
+        src = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        gm.install("F", src)
+        assert gm.array("F").flags["C_CONTIGUOUS"]
+        assert np.array_equal(gm.array("F"), src)
+        assert list(gm.read_drun("F", 0, 3, 3)) == [3, 6, 9]
+
     def test_duplicate_name_rejected(self, gm):
         gm.alloc("A", (4, 4))
         with pytest.raises(AccessError):
@@ -157,28 +164,102 @@ class TestStrideAccess:
         assert gm.counters.stride_ops == 8
         assert gm.counters.coalesced_elements == 0
 
-    def test_scatter(self, gm):
-        gm.install("A", np.arange(16.0).reshape(4, 4))
-        vals = gm.read_scatter("A", [0, 3], [3, 0])
-        assert list(vals) == [3, 12]
-        gm.write_scatter("A", np.array([1]), np.array([1]), np.array([99.0]))
-        assert gm.array("A")[1, 1] == 99
-        assert gm.counters.stride_ops == 3
-
-    def test_scatter_bounds(self, gm):
-        gm.alloc("A", (2, 2))
-        with pytest.raises(AccessError):
-            gm.read_scatter("A", [0], [5])
-
-    def test_scatter_shape_mismatch(self, gm):
-        gm.alloc("A", (2, 2))
-        with pytest.raises(ShapeError):
-            gm.read_scatter("A", [0, 1], [0])
-
     def test_vrun_on_1d_rejected(self, gm):
         gm.alloc("V", (8,))
         with pytest.raises(AccessError):
             gm.read_vrun("V", 0, 0, 4)
+
+
+class TestDiagonalRun:
+    """``read_drun``/``write_drun``: ``(row + t, col - t)`` for ``t < length``."""
+
+    def test_round_trip(self, gm):
+        gm.install("A", np.arange(20.0).reshape(4, 5))
+        vals = gm.read_drun("A", 0, 3, 4)  # (0,3) (1,2) (2,1) (3,0)
+        assert list(vals) == [3, 7, 11, 15]
+        vals[:] = -1  # a copy, not a view of the buffer
+        assert gm.array("A")[0, 3] == 3
+        gm.write_drun("A", 1, 4, np.array([90.0, 91, 92]))
+        expected = np.arange(20.0).reshape(4, 5)
+        expected[[1, 2, 3], [4, 3, 2]] = [90, 91, 92]
+        assert np.array_equal(gm.array("A"), expected)
+
+    @pytest.mark.parametrize(
+        "row,col,length",
+        [(-1, 3, 2), (2, 4, 3), (0, 5, 1), (0, 2, 4)],
+        ids=["row-before", "row-past", "col-past", "col-before"],
+    )
+    def test_out_of_range_raises(self, gm, row, col, length):
+        gm.alloc("A", (4, 5))
+        with pytest.raises(AccessError):
+            gm.read_drun("A", row, col, length)
+        with pytest.raises(AccessError):
+            gm.write_drun("A", row, col, np.zeros(length))
+        assert gm.counters.stride_ops == 0
+        assert not gm.array("A").any()
+
+    def test_negative_length_raises(self, gm):
+        gm.alloc("A", (4, 5))
+        with pytest.raises(AccessError):
+            gm.read_drun("A", 0, 0, -1)
+
+    def test_every_run_matches_fancy_indexing_or_raises(self, gm):
+        a = np.arange(12.0).reshape(3, 4)
+        gm.install("A", a)
+        for row in range(-1, 5):
+            for col in range(-1, 6):
+                for length in range(0, 6):
+                    t = np.arange(length)
+                    rows, cols = row + t, col - t
+                    inside = bool(
+                        ((rows >= 0) & (rows < 3) & (cols >= 0) & (cols < 4)).all()
+                    )
+                    if inside:
+                        got = gm.read_drun("A", row, col, length)
+                        assert np.array_equal(got, a[rows, cols])
+                    else:
+                        with pytest.raises(AccessError):
+                            gm.read_drun("A", row, col, length)
+
+    def test_one_column_buffer(self, gm):
+        gm.install("C", np.arange(3.0).reshape(3, 1))
+        assert list(gm.read_drun("C", 2, 0, 1)) == [2]
+        gm.write_drun("C", 1, 0, np.array([7.0]))
+        assert list(gm.array("C")[:, 0]) == [0, 7, 2]
+        with pytest.raises(AccessError):
+            gm.read_drun("C", 0, 0, 2)
+
+    def test_two_dimensional_values_rejected(self, gm):
+        gm.alloc("A", (4, 4))
+        with pytest.raises(ShapeError):
+            gm.write_drun("A", 0, 1, np.ones((2, 1)))
+
+    def test_one_dimensional_buffer_rejected(self, gm):
+        gm.alloc("V", (8,))
+        with pytest.raises(AccessError):
+            gm.read_drun("V", 0, 0, 1)
+        with pytest.raises(AccessError):
+            gm.write_drun("V", 0, 0, np.ones(1))
+
+    def test_one_stride_op_per_element(self, gm):
+        gm.alloc("A", (4, 4))
+        gm.read_drun("A", 0, 3, 4)
+        gm.write_drun("A", 1, 3, np.ones(3))
+        gm.read_drun("A", 2, 2, 0)
+        assert gm.counters.stride_ops == 7
+        assert gm.counters.coalesced_elements == 0
+        assert gm.counters.coalesced_transactions == 0
+
+    def test_write_log_records_linear_addresses(self, gm):
+        gm.alloc("pad", (3, 3))  # a nonzero base address for "A"
+        gm.alloc("A", (4, 5))
+        log = gm.begin_write_log()
+        gm.write_drun("A", 1, 4, np.array([1.0, 2.0, 3.0]))
+        gm.end_write_log()
+        addresses, values = log.consolidated()
+        expected = [gm.linear_address("A", 1 + t, 4 - t) for t in range(3)]
+        assert list(addresses) == expected
+        assert list(values) == [1.0, 2.0, 3.0]
 
 
 class TestOneDimensional:

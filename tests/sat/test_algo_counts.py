@@ -7,9 +7,11 @@ ties the implementations to the formulas Table II's 18K-scale rows are
 computed from.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.formulas import predicted_counters
+from repro.machine.engine import ExecutionEngine, PlanCache
 from repro.machine.params import MachineParams
 from repro.sat import CombinedKR1W, make_algorithm
 from repro.util.matrices import random_matrix
@@ -61,3 +63,50 @@ def test_transactions_never_below_element_bound():
         res = make_algorithm(name).compute(random_matrix(16), params)
         c = res.counters
         assert c.coalesced_transactions >= -(-c.coalesced_elements // params.width)
+
+
+def _4r1w_stage_closed_form(k: int, rows: int, cols: int, w: int):
+    """Stage ``k`` of 4R1W: (stride ops, blocks) in closed form.
+
+    The diagonal has ``L`` elements. Only ``(k, 0)`` lacks a left
+    neighbour (when ``k < rows``) and only ``(0, k)`` an upper one (when
+    ``k < cols``); they are one element at ``k == 0``. Each element is
+    read and written once, plus one read per neighbour it has.
+    """
+    length = min(k, rows - 1) - max(0, k - (cols - 1)) + 1
+    left = length - (k < rows)
+    up = length - (k < cols)
+    corner = length - (k < rows) - (k < cols) + (k == 0)
+    return 2 * length + left + up + corner, -(-length // w)
+
+
+@pytest.mark.parametrize("path", ["counted", "fused"])
+@pytest.mark.parametrize(
+    "shape", [(1, 37), (37, 1), (1, 1), (37, 64), (64, 37), (16, 16)]
+)
+def test_4r1w_per_kernel_traffic(shape, path):
+    rows, cols = shape
+    w = 8
+    params = MachineParams(width=w, latency=13)
+    algo = make_algorithm("4R1W")
+    a = random_matrix(rows, m=cols, seed=5, dtype=np.int64).astype(np.float64)
+    engine = ExecutionEngine(cache=PlanCache())
+    result = algo.compute(a, params, engine=engine)
+    if path == "fused":
+        result = algo.compute(a, params, engine=engine, fast=True, fused="numpy")
+    assert np.array_equal(result.sat, a.cumsum(axis=0).cumsum(axis=1))
+    assert len(result.traces) == rows + cols - 1
+    for k, trace in enumerate(result.traces):
+        stride, blocks = _4r1w_stage_closed_form(k, rows, cols, w)
+        assert trace.label == f"stage{k}"
+        assert trace.blocks == blocks
+        assert trace.counters.stride_ops == stride
+        assert trace.counters.coalesced_elements == 0
+        assert trace.counters.coalesced_transactions == 0
+    c = result.counters
+    assert c.blocks_executed == sum(
+        _4r1w_stage_closed_form(k, rows, cols, w)[1] for k in range(rows + cols - 1)
+    )
+    assert c.stride_ops == 5 * rows * cols - 2 * rows - 2 * cols + 1
+    assert c.kernels_launched == rows + cols - 1
+    assert c.barriers == rows + cols - 2

@@ -17,10 +17,14 @@ These tests pin the three properties the warm rework was bought for:
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
+from repro.machine.engine import native
 from repro.machine.params import MachineParams
 from repro.obs import runtime as obs
 from repro.sat import BatchSession
@@ -242,3 +246,94 @@ def test_describe_reports_warm_worker_config(rng):
     assert desc["slab_out_bytes"] >= 4 * 8 * 8 * 8
     assert desc["prewarmed_shapes"] == [[8, 8]]
     assert desc["worker_restarts"] == 0
+
+
+# --- native kernels in forked workers ----------------------------------------
+
+#: Native 1R1W in the parent starts an OpenMP team; then a pool whose
+#: workers run native kernels too. libgomp's thread pool does not survive
+#: fork, so a worker that ran its first parallel region on more than one
+#: thread would block forever. SIGALRM turns such a hang into exit 3, after
+#: the session's close() has stopped the workers and unlinked its slabs.
+_NATIVE_AFTER_FORK = r"""
+import signal, sys
+import numpy as np
+from repro import make_algorithm
+from repro.machine.params import MachineParams
+from repro.sat import BatchSession
+
+class Hung(Exception):
+    pass
+
+def on_alarm(*_):
+    raise Hung()
+
+signal.signal(signal.SIGALRM, on_alarm)
+params = MachineParams(width=8, latency=4)
+rng = np.random.default_rng(0)
+algo = make_algorithm("1R1W")
+a = rng.integers(0, 9, (64, 64)).astype(float)
+algo.compute(a, params)
+algo.compute(a, params, fast=True, fused="native")
+batch = [rng.integers(0, 9, (64, 64)).astype(float) for _ in range(4)]
+signal.alarm(30)
+try:
+    with BatchSession("1R1W", params, workers=2, fused="native") as session:
+        outs = list(session.map(batch))
+except Hung:
+    print("hung")
+    sys.exit(3)
+signal.alarm(0)
+exact = all(
+    np.array_equal(o, np.cumsum(np.cumsum(m, 0), 1)) for o, m in zip(outs, batch)
+)
+print("exact" if exact else "mismatch")
+"""
+
+#: A pool on the numpy fused path: no worker may build the native module.
+_NUMPY_POOL = r"""
+import numpy as np
+from repro.machine.params import MachineParams
+from repro.sat import BatchSession
+
+rng = np.random.default_rng(0)
+batch = [rng.integers(0, 9, (16, 16)).astype(float) for _ in range(4)]
+with BatchSession("1R1W", MachineParams(width=8, latency=4), workers=2) as session:
+    outs = list(session.map(batch))
+exact = all(
+    np.array_equal(o, np.cumsum(np.cumsum(m, 0), 1)) for o, m in zip(outs, batch)
+)
+print("exact" if exact else "mismatch")
+"""
+
+
+def _run_python(script: str, **env_overrides) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.update(env_overrides)
+    env.pop("REPRO_FUSED_BACKEND", None)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+def test_native_pool_after_native_parent_does_not_hang():
+    """Regression: a pool forked after the parent ran a native kernel on
+    two OpenMP threads used to block in its workers' first native kernel."""
+    if not native.native_available():
+        pytest.skip("no native toolchain resolves on this host")
+    proc = _run_python(_NATIVE_AFTER_FORK, OMP_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["exact"], proc.stdout + proc.stderr
+
+
+def test_numpy_pool_never_builds_the_native_module(tmp_path):
+    cache = tmp_path / "native-cache"
+    proc = _run_python(_NUMPY_POOL, REPRO_NATIVE_CACHE_DIR=str(cache))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["exact"]
+    assert not cache.exists()
