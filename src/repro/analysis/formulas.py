@@ -101,22 +101,8 @@ def counts_2r1w(n: int, w: int) -> PredictedCounts:
     return PredictedCounts(coalesced=coalesced, stride=stride, kernels=kernels)
 
 
-def _block_stage_traffic(bi: int, bj: int, m: int, w: int) -> int:
-    """Coalesced words moved by one 1R1W block-stage task."""
-    c = 2 * w * w  # block read + write
-    if bi > 0:
-        c += w + (1 if bj > 0 else 0)  # corner-prefixed bottom row above
-    if bj > 0:
-        c += w + (1 if bi > 0 else 0)  # corner-prefixed right column left
-    if bi < m - 1:
-        c += w  # publish bottom row
-    if bj < m - 1:
-        c += w  # publish right column
-    return c
-
-
 def counts_1r1w(n: int, w: int) -> PredictedCounts:
-    """1R1W: closed form over all blocks (see ``_block_stage_traffic``)."""
+    """1R1W: closed form over all blocks' stage traffic."""
     m = n // w
     coalesced = (
         2 * m * m * w * w  # block reads + writes
@@ -127,62 +113,41 @@ def counts_1r1w(n: int, w: int) -> PredictedCounts:
 
 
 def counts_kr1w(n: int, w: int, p: float) -> PredictedCounts:
-    """kR1W: exact mirror of the triangle + band phase structure."""
+    """kR1W: closed form of the triangle + band phase structure.
+
+    With ``t`` diagonals per corner triangle, each triangle holds
+    ``t(t+1)/2`` blocks in ``t`` block-rows and ``t`` block-columns, and
+    the middle band is 1R1W's stages ``t .. 2(m-1) - t``. The top-left
+    triangle never touches the last block-row or -column; the bottom-right
+    one never touches the first, so its every scan reads a seed.
+    """
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
-    grid = BlockGrid(n, w)
-    m = grid.blocks_per_side
+    m = BlockGrid(n, w).blocks_per_side
     t = int(round(p * (m - 1)))
-    top, mid, bottom = grid.triangle_partition(p)
-    coalesced = 0
-    stride = 0
-    kernels = 0
+    tri = t * (t + 1) // 2  # blocks per triangle
+    inner = tri - t  # triangle blocks off its matrix-edge row (or column)
+    both = (t - 1) * (t - 2) // 2 if t >= 2 else 0  # top blocks off both edges
 
-    for blocks, seeded in ((top, False), (bottom, True)):
-        if not blocks:
-            continue
-        kernels += 4
-        n_blocks = len(blocks)
-        # sums phase: block read + CS/RS row writes.
-        coalesced += n_blocks * (w * w + 2 * w)
-        # scans phase: runs by column and by row.
-        from ..sat.triangle2r1w import _runs_by_column, _runs_by_row
-
-        col_runs = _runs_by_column(blocks)
-        row_runs = _runs_by_row(blocks)
-        for bj, run in col_runs.items():
-            length = len(run)
-            coalesced += 2 * length * w  # CS strip read + colAbove write
-            stride += length  # t written down a T-buffer column
-            if seeded:
-                coalesced += w + 1 if bj > 0 else w
-        for bi, run in row_runs.items():
-            length = len(run)
-            coalesced += 2 * length * w  # RS strip read + rowLeft write
-            if seeded:
-                coalesced += w + 1 if bi > 0 else w
-        # corners phase: per row-run, t read + G write (+ seed).
-        for bi, run in row_runs.items():
-            length = len(run)
-            coalesced += 2 * length
-            if seeded and run.start > 0:
-                stride += 1
-        # fix phase: block read/write + top/left rows + corner + aux rows.
-        for bi, bj in blocks:
-            coalesced += 2 * w * w + 2 * w
-            stride += 1
-            if bi < m - 1:
-                coalesced += w
-            if bj < m - 1:
-                coalesced += w
-
-    # middle band: 1R1W stages t .. 2(m-1) - t.
-    for stage in range(t, 2 * (m - 1) - t + 1):
-        kernels += 1
-        for bi, bj in grid.diagonal(stage):
-            coalesced += _block_stage_traffic(bi, bj, m, w)
-
-    return PredictedCounts(coalesced=coalesced, stride=stride, kernels=kernels)
+    # Per triangle block: sums (w^2 read, 2w written), column and row scans
+    # (2w each), corner scan (2), fix (2w^2 + 2w, one corner stride read).
+    per_block = 3 * w * w + 8 * w + 2
+    # Top-left: publishes both boundary rows of every block; no seeds.
+    top = tri * (per_block + 2 * w)
+    # Bottom-right: publishes only off the last block-row/-column; each of
+    # its t column and t row scans reads a w + 1 word seed.
+    bottom = tri * per_block + 2 * w * inner + 2 * t * (w + 1)
+    # Middle band: 1R1W's traffic minus its stage traffic on the triangles.
+    band = (
+        counts_1r1w(n, w).coalesced
+        - (tri * (2 * w * w + 2 * w) + 2 * w * inner + 2 * both)
+        - (tri * (2 * w * w + 2 * w + 2) + 2 * w * inner)
+    )
+    # Strides: per triangle block, its t word written down a T column and
+    # its corner read in the fix; one seed read per bottom corner scan.
+    stride = 4 * tri + t
+    kernels = (8 if t else 0) + 2 * (m - 1 - t) + 1
+    return PredictedCounts(coalesced=top + bottom + band, stride=stride, kernels=kernels)
 
 
 _PREDICTORS = {

@@ -95,8 +95,8 @@ def profile_4r1w(n: int, params: MachineParams) -> List[KernelProfile]:
 def _diagonal_traffic(s: int, m: int, w: int) -> Tuple[int, int]:
     """(coalesced words, block count) of 1R1W's stage ``s`` in closed form.
 
-    Mirrors :func:`repro.analysis.formulas._block_stage_traffic` summed over
-    the diagonal: per block ``2 w^2`` block traffic, a corner-prefixed
+    Mirrors the 1R1W block-stage task's traffic summed over the diagonal:
+    per block ``2 w^2`` block traffic, a corner-prefixed
     ``w(+1)`` read per interior edge, and ``w`` published boundary words per
     non-terminal edge.
     """

@@ -9,10 +9,10 @@ of running a kernel's block tasks one Python closure at a time, the task
 factory that built the kernel attaches a :class:`FusedKernelSpec`
 describing the whole task group declaratively, and the engine's fused
 backend executes the group as a handful of batched numpy operations —
-stacked gather of every task's block addresses (precomputed index arrays),
-one vectorized per-block compute, stacked scatter back. This is the
-software-systolic fusion argument for memory-bound GPU kernels applied to
-the simulator itself.
+stacked gather of every task's block through the buffer's tile view,
+indexed by block coordinate, one vectorized per-block compute, stacked
+scatter back. This is the software-systolic fusion argument for
+memory-bound GPU kernels applied to the simulator itself.
 
 Bit-identity contract
 ---------------------
@@ -23,11 +23,18 @@ therefore perform the same floating-point operations in the same order as
 the tasks they replace:
 
 * cumulative sums run along the same axes (``np.cumsum`` is sequential,
-  so per-block and stacked evaluation are elementwise identical);
-* reductions run along axes with the same length and memory stride as the
-  per-block reduction, so numpy picks the same (pairwise) summation order;
+  so per-block and stacked evaluation are elementwise identical); a prefix
+  sum down wide rows runs as a row sweep (:func:`prefix_sum_rows`), which
+  makes cumsum's additions in cumsum's order;
+* whole-block gathers (``tiles[bi, bj]`` on the tile view) return the
+  same C-contiguous ``(T, w, w)`` stack the per-task reads build, so
+  reductions run along axes with the same length and memory stride as the
+  per-block reduction, and numpy picks the same (pairwise) summation order;
 * boundary offsets are added in the task order — top row, left column,
-  corner — with the same "skip when absent" masking.
+  corner — with the same "skip when absent" masking;
+* specs that work in place on the tile view (2R1W Step 3) make only
+  elementwise adds and prefix sums along one block's rows or columns, so
+  no block needs a private copy.
 
 Tasks within one kernel write disjoint address sets (the executor's
 seeded shuffle enforces this in tests), so executing a kernel group-by-
@@ -60,7 +67,18 @@ __all__ = [
     "TriangleFixSpec",
     "TriangleSumsSpec",
     "attach_fused_spec",
+    "prefix_sum_rows",
 ]
+
+#: Row width (in elements) from which :func:`prefix_sum_rows` sweeps whole
+#: rows instead of calling ``np.cumsum(axis=-2)``. numpy's cumsum down a
+#: C-order array slows as rows widen, while the sweep pays one call per
+#: row. On a 2-vCPU x86_64 host (numpy 2.4), 1024 rows of 256 columns took
+#: 1.32 ms by cumsum and 2.07 ms by sweep; 320 columns 1.18 and 1.34 ms;
+#: 384 columns 1.41 and 1.23 ms; 512 columns 3.56 and 1.67 ms; 1024
+#: columns 7.9 and 1.6 ms. Narrow regions keep cumsum: 4096 x 32 took
+#: 0.48 ms by cumsum and 8.6 ms by sweep.
+ROW_SWEEP_MIN_COLS = 384
 
 
 class FusedKernelSpec:
@@ -90,22 +108,37 @@ def attach_fused_spec(tasks: List, spec: FusedKernelSpec) -> List:
     return tasks
 
 
-def _block_indices(w: int, r0: np.ndarray, c0: np.ndarray):
-    """Gather/scatter index arrays for a batch of ``w x w`` blocks.
+def prefix_sum_rows(x: np.ndarray) -> None:
+    """In place: ``np.cumsum(x, axis=-2, out=x)``, bit for bit.
 
-    Returns ``(row_idx, col_idx)`` with shapes ``(T, w, 1)`` and
-    ``(T, 1, w)``; broadcasting them against a 2-D buffer gathers the
-    stacked ``(T, w, w)`` block array in one fancy-indexing call.
+    From :data:`ROW_SWEEP_MIN_COLS` columns on, the prefix sum runs as a
+    sweep ``x[..., r, :] = x[..., r - 1, :] + x[..., r, :]`` — the same
+    additions in the same order as cumsum's sequential accumulation.
     """
-    offs = np.arange(w, dtype=np.int64)
-    return (
-        r0[:, None, None] + offs[None, :, None],
-        c0[:, None, None] + offs[None, None, :],
-    )
+    if x.shape[-1] < ROW_SWEEP_MIN_COLS:
+        np.cumsum(x, axis=-2, out=x)
+        return
+    for r in range(1, x.shape[-2]):
+        np.add(x[..., r - 1, :], x[..., r, :], out=x[..., r, :])
+
+
+def _tiles(a: np.ndarray, w: int) -> np.ndarray:
+    """View of a 2-D buffer as its ``w x w`` blocks: ``[bi, bj]`` is block ``(bi, bj)``.
+
+    Splitting axes never copies, so writes through the view reach ``a``.
+    """
+    rows, cols = a.shape
+    return a.reshape(rows // w, w, cols // w, w).transpose(0, 2, 1, 3)
+
+
+def _runs(a: np.ndarray, w: int) -> np.ndarray:
+    """View of a 2-D buffer's rows as ``w``-word runs: ``[r, k]`` is
+    ``a[r, k*w:(k+1)*w]``."""
+    return a.reshape(a.shape[0], a.shape[1] // w, w)
 
 
 class ColumnScanSpec(FusedKernelSpec):
-    """All strips of a column scan: one in-place cumsum over the region."""
+    """All strips of a column scan: one in-place prefix sum over the region."""
 
     def __init__(self, buf: str, row0: int, col0: int, n_rows: int, n_cols: int):
         self.buf = buf
@@ -118,7 +151,7 @@ class ColumnScanSpec(FusedKernelSpec):
             self.row0 : self.row0 + self.n_rows,
             self.col0 : self.col0 + self.n_cols,
         ]
-        np.cumsum(region, axis=0, out=region)
+        prefix_sum_rows(region)
 
 
 class RowScanStrideSpec(FusedKernelSpec):
@@ -205,9 +238,7 @@ class Step1Spec(FusedKernelSpec):
         n = m * w
         a = gm.array(self.buf)
         # (m, m, w, w): tiles[bi, bj] is block (bi, bj), each C-contiguous.
-        tiles = np.ascontiguousarray(
-            a[:n, :n].reshape(m, w, m, w).transpose(0, 2, 1, 3)
-        )
+        tiles = np.ascontiguousarray(_tiles(a[:n, :n], w))
         col_sums = tiles.sum(axis=2)  # (m, m, w): per-block tile.sum(axis=0)
         row_sums = tiles.sum(axis=3)  # (m, m, w): per-block tile.sum(axis=1)
         totals = tiles.reshape(m * m, w * w).sum(axis=1).reshape(m, m)
@@ -219,7 +250,12 @@ class Step1Spec(FusedKernelSpec):
 
 
 class Step3Spec(FusedKernelSpec):
-    """2R1W Step 3: fold scanned boundaries into every block, SAT, write back."""
+    """2R1W Step 3: fold scanned boundaries into every block and take its SAT.
+
+    Works in place on the tile view of the buffer; every operation is
+    elementwise or runs along one block's rows or columns, so no block
+    needs a private copy.
+    """
 
     def __init__(self, buf: str, c_buf: str, rt_buf: str, m_buf: str, m: int, w: int):
         self.buf, self.c_buf, self.rt_buf, self.m_buf = buf, c_buf, rt_buf, m_buf
@@ -228,10 +264,8 @@ class Step3Spec(FusedKernelSpec):
     def execute(self, gm) -> None:
         m, w = self.m, self.w
         n = m * w
-        a = gm.array(self.buf)
-        tiles = np.ascontiguousarray(
-            a[:n, :n].reshape(m, w, m, w).transpose(0, 2, 1, 3)
-        )
+        a = gm.array(self.buf)[:n, :n]
+        tiles = _tiles(a, w)
         c = gm.array(self.c_buf)
         rt = gm.array(self.rt_buf)
         mm = gm.array(self.m_buf)
@@ -241,50 +275,52 @@ class Step3Spec(FusedKernelSpec):
         corner = mm[: m - 1, : m - 1]
         nz = corner != 0  # apply_offsets skips zero corners
         tiles[1:, 1:, 0, 0][nz] += corner[nz]
-        np.cumsum(tiles, axis=2, out=tiles)
+        prefix_sum_rows(a.reshape(m, w, n))  # down the rows of every block
         np.cumsum(tiles, axis=3, out=tiles)
-        a[:n, :n] = tiles.transpose(0, 2, 1, 3).reshape(n, n)
 
 
 class _CornerPrefixedGather:
-    """Precomputed index plan for a batched corner-prefixed aux read.
+    """Batched corner-prefixed aux read, indexed by block coordinate.
 
     Mirrors :func:`~repro.sat.algo_1r1w.read_corner_prefixed` for the
     subset of blocks that have the neighbor at all: ``read`` returns the
     ``(k, w + 1)`` stacked ``[corner, run of w]`` rows (zero corner at the
     matrix edge), and ``idx`` maps those ``k`` rows back to positions in
-    the spec's block list.
+    the spec's block list. ``aux_rows`` and ``run_idx`` give each block's
+    aux row and the index of its ``w``-word run along that row.
     """
 
     def __init__(
-        self, aux_rows: np.ndarray, starts: np.ndarray, idx: np.ndarray, w: int
+        self, aux_rows: np.ndarray, run_idx: np.ndarray, idx: np.ndarray, w: int
     ):
         self.idx = idx
         self.w = w
-        starts = starts[idx]
-        self.rows = aux_rows[idx][:, None]
-        self.cols = starts[:, None] + np.arange(w, dtype=np.int64)
-        wc = np.flatnonzero(starts > 0)  # blocks whose corner word exists
+        self.rows = aux_rows[idx]
+        self.run_idx = run_idx[idx]
+        wc = np.flatnonzero(self.run_idx > 0)  # blocks whose corner word exists
         self.wc = wc
-        self.wc_rows = aux_rows[idx][wc]
-        self.wc_cols = starts[wc] - 1
+        self.wc_rows = self.rows[wc]
+        self.wc_run_idx = self.run_idx[wc] - 1
 
     def read(self, aux: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.idx.size, self.w + 1))
-        out[:, 1:] = aux[self.rows, self.cols]
+        w = self.w
+        view = _runs(aux, w)
+        out = np.zeros((self.idx.size, w + 1))
+        out[:, 1:] = view[self.rows, self.run_idx]
         if self.wc.size:
-            out[self.wc, 0] = aux[self.wc_rows, self.wc_cols]
+            out[self.wc, 0] = view[self.wc_rows, self.wc_run_idx, w - 1]
         return out
 
 
 class BlockStageSpec(FusedKernelSpec):
     """One 1R1W block anti-diagonal stage, batched over its blocks.
 
-    Gathers every block through precomputed index arrays, reconstructs the
-    boundary offsets by pairwise subtraction of the published aux rows,
-    folds them in, takes the stacked block SATs, scatters the results, and
-    publishes the new boundary rows — all index arrays and edge-case
-    subsets resolved at construction (i.e. at plan-compile time).
+    Gathers every block from the buffer's tile view by block coordinate,
+    reconstructs the boundary offsets by pairwise subtraction of the
+    published aux rows, folds them in, takes the stacked block SATs,
+    scatters the results, and publishes the new boundary rows — all block
+    coordinates and edge-case subsets resolved at construction (i.e. at
+    plan-compile time).
     """
 
     def __init__(
@@ -302,17 +338,13 @@ class BlockStageSpec(FusedKernelSpec):
         self.aux_bottom, self.aux_right = aux_bottom, aux_right
         bi = np.array([b[0] for b in blocks], dtype=np.int64)
         bj = np.array([b[1] for b in blocks], dtype=np.int64)
-        # Kept for the native backend, which lowers the stage from the
-        # block list rather than the expanded index arrays below.
         self.bi, self.bj = bi, bj
         self.block_rows, self.block_cols = block_rows, block_cols
         self.num_blocks = bi.size
-        r0, c0 = bi * w, bj * w
-        self.row_idx, self.col_idx = _block_indices(w, r0, c0)
         ha = np.flatnonzero(bi > 0)
         hl = np.flatnonzero(bj > 0)
-        self.above = _CornerPrefixedGather(bi - 1, c0, ha, w)
-        self.left = _CornerPrefixedGather(bj - 1, r0, hl, w)
+        self.above = _CornerPrefixedGather(bi - 1, bj, ha, w)
+        self.left = _CornerPrefixedGather(bj - 1, bi, hl, w)
         # Interior diagonals have every block's neighbor present; a basic
         # slice then beats fancy indexing on the += below.
         self.all_above = ha.size == bi.size
@@ -320,20 +352,19 @@ class BlockStageSpec(FusedKernelSpec):
         # Blocks whose corner comes from the left neighbor (no block above).
         self.hl_only_sub = np.flatnonzero(bi[hl] == 0)
         self.hl_only = hl[self.hl_only_sub]
-        offs = np.arange(w, dtype=np.int64)
-        pb = np.flatnonzero(bi < block_rows - 1)
-        pr = np.flatnonzero(bj < block_cols - 1)
-        self.pb = pb
-        self.pb_rows, self.pb_cols = bi[pb][:, None], c0[pb][:, None] + offs
-        self.pr = pr
-        self.pr_rows, self.pr_cols = bj[pr][:, None], r0[pr][:, None] + offs
+        # Blocks publishing a bottom row / right column, and where to.
+        self.pb = np.flatnonzero(bi < block_rows - 1)
+        self.pb_at = (bi[self.pb], bj[self.pb])
+        self.pr = np.flatnonzero(bj < block_cols - 1)
+        self.pr_at = (bj[self.pr], bi[self.pr])
 
     def execute(self, gm) -> None:
         w = self.w
-        a = gm.array(self.buf)
+        grid = _tiles(gm.array(self.buf), w)
         aux_b = gm.array(self.aux_bottom)
         aux_r = gm.array(self.aux_right)
-        tiles = a[self.row_idx, self.col_idx]  # (T, w, w) stacked gather
+        bi, bj = self.bi, self.bj
+        tiles = grid[bi, bj]  # (T, w, w) stacked gather
         corner = np.zeros(self.num_blocks)
         if self.above.idx.size:
             above = self.above.read(aux_b)
@@ -357,11 +388,11 @@ class BlockStageSpec(FusedKernelSpec):
             tiles[nz, 0, 0] += corner[nz]
         np.cumsum(tiles, axis=1, out=tiles)
         np.cumsum(tiles, axis=2, out=tiles)
-        a[self.row_idx, self.col_idx] = tiles  # stacked scatter
+        grid[bi, bj] = tiles  # stacked scatter
         if self.pb.size:
-            aux_b[self.pb_rows, self.pb_cols] = tiles[self.pb, w - 1, :]
+            _runs(aux_b, w)[self.pb_at] = tiles[self.pb, w - 1, :]
         if self.pr.size:
-            aux_r[self.pr_rows, self.pr_cols] = tiles[self.pr, :, w - 1]
+            _runs(aux_r, w)[self.pr_at] = tiles[self.pr, :, w - 1]
 
 
 class TriangleSumsSpec(FusedKernelSpec):
@@ -374,18 +405,12 @@ class TriangleSumsSpec(FusedKernelSpec):
         self.w = w
         self.bi = np.array([b[0] for b in blocks], dtype=np.int64)
         self.bj = np.array([b[1] for b in blocks], dtype=np.int64)
-        self.row_idx, self.col_idx = _block_indices(w, self.bi * w, self.bj * w)
 
     def execute(self, gm) -> None:
-        w = self.w
-        tiles = gm.array(self.buf)[self.row_idx, self.col_idx]
-        offs = np.arange(w, dtype=np.int64)
-        gm.array(self.cs_buf)[
-            self.bi[:, None], self.bj[:, None] * w + offs
-        ] = tiles.sum(axis=1)
-        gm.array(self.rs_buf)[
-            self.bj[:, None], self.bi[:, None] * w + offs
-        ] = tiles.sum(axis=2)
+        w, bi, bj = self.w, self.bi, self.bj
+        tiles = _tiles(gm.array(self.buf), w)[bi, bj]
+        _runs(gm.array(self.cs_buf), w)[bi, bj] = tiles.sum(axis=1)
+        _runs(gm.array(self.rs_buf), w)[bj, bi] = tiles.sum(axis=2)
 
 
 class TriangleFixSpec(FusedKernelSpec):
@@ -411,36 +436,30 @@ class TriangleFixSpec(FusedKernelSpec):
         self.w, self.m = w, m
         self.bi = np.array([b[0] for b in blocks], dtype=np.int64)
         self.bj = np.array([b[1] for b in blocks], dtype=np.int64)
-        self.r0 = self.bi * w
-        self.c0 = self.bj * w
-        self.row_idx, self.col_idx = _block_indices(w, self.r0, self.c0)
-        self.publish_bottom = self.bi < m - 1
-        self.publish_right = self.bj < m - 1
+        # Blocks publishing a bottom row / right column, and where to.
+        self.pb = np.flatnonzero(self.bi < m - 1)
+        self.pb_at = (self.bi[self.pb], self.bj[self.pb])
+        self.pr = np.flatnonzero(self.bj < m - 1)
+        self.pr_at = (self.bj[self.pr], self.bi[self.pr])
 
     def execute(self, gm) -> None:
-        w = self.w
-        a = gm.array(self.buf)
-        offs = np.arange(w, dtype=np.int64)
-        tiles = a[self.row_idx, self.col_idx]
-        top = gm.array(self.col_above_buf)[self.bi[:, None], self.c0[:, None] + offs]
-        left = gm.array(self.row_left_buf)[self.bj[:, None], self.r0[:, None] + offs]
-        corner = gm.array(self.g_buf)[self.bi, self.bj]
+        w, bi, bj = self.w, self.bi, self.bj
+        grid = _tiles(gm.array(self.buf), w)
+        tiles = grid[bi, bj]
+        top = _runs(gm.array(self.col_above_buf), w)[bi, bj]
+        left = _runs(gm.array(self.row_left_buf), w)[bj, bi]
+        corner = gm.array(self.g_buf)[bi, bj]
         tiles[:, 0, :] += top
         tiles[:, :, 0] += left
         nz = corner != 0
         tiles[nz, 0, 0] += corner[nz]
         np.cumsum(tiles, axis=1, out=tiles)
         np.cumsum(tiles, axis=2, out=tiles)
-        a[self.row_idx, self.col_idx] = tiles
-        pb, pr = self.publish_bottom, self.publish_right
-        if pb.any():
-            gm.array(self.aux_bottom)[
-                self.bi[pb][:, None], self.c0[pb][:, None] + offs
-            ] = tiles[pb, w - 1, :]
-        if pr.any():
-            gm.array(self.aux_right)[
-                self.bj[pr][:, None], self.r0[pr][:, None] + offs
-            ] = tiles[pr, :, w - 1]
+        grid[bi, bj] = tiles
+        if self.pb.size:
+            _runs(gm.array(self.aux_bottom), w)[self.pb_at] = tiles[self.pb, w - 1, :]
+        if self.pr.size:
+            _runs(gm.array(self.aux_right), w)[self.pr_at] = tiles[self.pr, :, w - 1]
 
 
 def build_fused_schedule(tasks: Sequence) -> Tuple:

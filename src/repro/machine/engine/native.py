@@ -1,8 +1,8 @@
 """Native backend: lower fused kernel schedules to JIT/C megakernels.
 
 The numpy fused backend (:mod:`repro.machine.engine.fused`) executes each
-kernel as a handful of *batched numpy calls* — stacked gather through
-precomputed index arrays, vectorized per-block compute, stacked scatter.
+kernel as a handful of *batched numpy calls* — stacked whole-block
+gather by block coordinate, vectorized per-block compute, stacked scatter.
 That already removed the per-task Python loop, but each kernel still
 costs several full passes over global memory (the gather copy, each
 cumsum, the scatter copy) plus temporary allocation for the stacked

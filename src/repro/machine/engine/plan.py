@@ -96,8 +96,8 @@ class KernelPlan:
     list partitioned into :class:`~repro.machine.engine.fused
     .FusedKernelSpec` groups (batched numpy execution) and leftover
     per-task entries — built lazily on first fused execution and cached
-    for the plan's lifetime; its index arrays are what "precomputed at
-    compile time" means operationally. ``native`` is the same schedule
+    for the plan's lifetime; its block coordinates and edge-case subsets
+    are what "precomputed at compile time" means operationally. ``native`` is the same schedule
     lowered one level further, with each spec bound to its compiled
     megakernel (:mod:`~repro.machine.engine.native`); it too is built
     once and cached, so the compiled-kernel bindings are keyed exactly
@@ -297,7 +297,7 @@ def execute_plan(
     wholesale: by default (``fused=True``) through
     :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel_fused`,
     which executes each kernel's task groups as batched numpy
-    gather/compute/scatter over the plan's precomputed index arrays;
+    gather/compute/scatter over the plan's precomputed block coordinates;
     with ``fused="native"`` those groups run as compiled native
     megakernels instead (:mod:`~repro.machine.engine.native`; degrades
     to the numpy schedule, bit-identically, when no JIT toolchain is

@@ -225,27 +225,36 @@ class GlobalMemory:
 
     def alloc(self, name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Allocate a zeroed buffer; returns the backing array for test use."""
-        return self.install(name, np.zeros(shape, dtype=dtype))
+        return self.adopt(name, np.zeros(shape, dtype=dtype))
 
     def install(self, name: str, array: np.ndarray) -> np.ndarray:
         """Place an existing array into global memory under ``name``.
 
         The array is copied so the caller's data cannot alias device state.
         """
+        # Defensive copy, keeps dtype.
+        return self.adopt(name, np.array(array, order="C"))
+
+    def adopt(self, name: str, array: np.ndarray) -> np.ndarray:
+        """Place ``array`` itself into global memory under ``name``, uncopied.
+
+        The caller hands the array over: it must be a C-contiguous array
+        nothing else writes. Row-major like device memory, so a diagonal
+        run is one strided view of the flat buffer.
+        """
         if name in self._buffers:
             raise AccessError(f"buffer {name!r} already allocated")
-        # Defensive copy, keeps dtype; row-major like device memory, so a
-        # diagonal run is one strided view of the flat buffer.
-        arr = np.array(array, order="C")
-        if arr.ndim not in (1, 2):
-            raise ShapeError(f"buffers must be 1-D or 2-D, got ndim={arr.ndim}")
-        self._buffers[name] = arr
+        if array.ndim not in (1, 2):
+            raise ShapeError(f"buffers must be 1-D or 2-D, got ndim={array.ndim}")
+        if not array.flags.c_contiguous:
+            raise ShapeError(f"buffer {name!r} must be C-contiguous")
+        self._buffers[name] = array
         # Buffers are padded to a group boundary so each row-major buffer
         # starts aligned, as cudaMalloc guarantees.
         self._base_addresses[name] = self._next_base
         w = self.params.width
-        self._next_base += ((arr.size + w - 1) // w) * w
-        return arr
+        self._next_base += ((array.size + w - 1) // w) * w
+        return array
 
     def free(self, name: str) -> None:
         self._require(name)

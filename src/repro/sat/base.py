@@ -130,6 +130,11 @@ class SATAlgorithm(abc.ABC):
     ) -> SATResult:
         """Compute the SAT of ``matrix`` on the asynchronous HMM.
 
+        The input is copied once, converted to float64 in C order, and
+        never written. The returned ``SATResult.sat`` owns its buffer: it
+        is that copy, summed in place, when this call built the executor,
+        and a copy of the executor's buffer when the caller supplied one.
+
         Parameters
         ----------
         matrix:
@@ -163,14 +168,15 @@ class SATAlgorithm(abc.ABC):
             With ``fast=True``, selects how each kernel's batched
             schedule executes. ``True`` (default) defers to the
             ``REPRO_FUSED_BACKEND`` environment variable (``numpy`` when
-            unset); ``"numpy"`` runs the batched numpy schedule (gather →
-            per-block compute → scatter over the plan's precomputed index
-            arrays); ``"native"`` runs the same schedule lowered to
-            compiled megakernels (:mod:`repro.machine.engine.native` —
-            Numba or generated C via cffi, bit-identical, degrading to
-            the numpy schedule with a single warning when no JIT
-            toolchain is available); ``fused=False`` selects the per-task
-            replay path (same accounting, useful for isolation).
+            unset); ``"numpy"`` runs the batched numpy schedule
+            (whole-block gather → per-block compute → scatter over the
+            plan's precomputed block coordinates); ``"native"`` runs the
+            same schedule lowered to compiled megakernels
+            (:mod:`repro.machine.engine.native` — Numba or generated C
+            via cffi, bit-identical, degrading to the numpy schedule with
+            a single warning when no JIT toolchain is available);
+            ``fused=False`` selects the per-task replay path (same
+            accounting, useful for isolation).
         obs:
             Per-run observability toggle. ``True`` records this run's
             metrics and spans into :mod:`repro.obs` even when the
@@ -196,7 +202,8 @@ class SATAlgorithm(abc.ABC):
         )
         with scope:
             plan = None
-            if executor is None:
+            own_executor = executor is None
+            if own_executor:
                 if use_plan_cache and self.plan_safe:
                     try:
                         plan = (engine or default_engine()).plan_for(
@@ -234,8 +241,11 @@ class SATAlgorithm(abc.ABC):
                 mode = "fused"
             else:
                 mode = "replay"
-            # install() makes the defensive copy; copy=False avoids a second one.
-            executor.gm.install(MATRIX_BUFFER, matrix.astype(np.float64, copy=False))
+            # The one copy of the input: converted, C-ordered, and owned by
+            # the executor from here on.
+            executor.gm.adopt(
+                MATRIX_BUFFER, np.array(matrix, dtype=np.float64, order="C")
+            )
             with obs_runtime.span(
                 "sat_compute", algorithm=self.name, rows=rows, cols=cols, mode=mode
             ):
@@ -246,8 +256,12 @@ class SATAlgorithm(abc.ABC):
                 else:
                     self._run(executor, rows, cols)
             obs_runtime.inc("sat_computes_total", algorithm=self.name, mode=mode)
+            sat = executor.gm.array(MATRIX_BUFFER)
             return SATResult(
-                sat=executor.gm.array(MATRIX_BUFFER).copy(),
+                # An executor built for this call dies with it, so its
+                # buffer becomes the result; a caller's executor keeps its
+                # own.
+                sat=sat if own_executor else sat.copy(),
                 algorithm=self.name,
                 n=rows,
                 params=params,

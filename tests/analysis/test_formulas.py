@@ -136,3 +136,71 @@ class TestInterface:
     def test_paper_table1_unknown(self):
         with pytest.raises(ConfigurationError):
             paper_table1_row("xR1W", 64, MachineParams(width=32))
+
+
+def _block_stage_traffic(bi, bj, m, w):
+    """Coalesced words moved by one 1R1W block-stage task."""
+    c = 2 * w * w  # block read + write
+    if bi > 0:
+        c += w + (1 if bj > 0 else 0)  # corner-prefixed bottom row above
+    if bj > 0:
+        c += w + (1 if bi > 0 else 0)  # corner-prefixed right column left
+    if bi < m - 1:
+        c += w  # publish bottom row
+    if bj < m - 1:
+        c += w  # publish right column
+    return c
+
+
+def _enumerated_kr1w(n, w, p):
+    """kR1W's counts by walking every block of the partition, as the
+    implementation's phases do: the oracle for the closed form."""
+    from repro.layout.blocking import BlockGrid
+    from repro.sat.triangle2r1w import _runs_by_column, _runs_by_row
+
+    grid = BlockGrid(n, w)
+    m = grid.blocks_per_side
+    t = int(round(p * (m - 1)))
+    top, _, bottom = grid.triangle_partition(p)
+    coalesced = stride = kernels = 0
+    for blocks, seeded in ((top, False), (bottom, True)):
+        if not blocks:
+            continue
+        kernels += 4
+        coalesced += len(blocks) * (w * w + 2 * w)  # sums phase
+        for bj, run in _runs_by_column(blocks).items():
+            coalesced += 2 * len(run) * w
+            stride += len(run)
+            if seeded:
+                coalesced += w + 1 if bj > 0 else w
+        row_runs = _runs_by_row(blocks)
+        for bi, run in row_runs.items():
+            coalesced += 2 * len(run) * w
+            if seeded:
+                coalesced += w + 1 if bi > 0 else w
+        for bi, run in row_runs.items():  # corners phase
+            coalesced += 2 * len(run)
+            if seeded and run.start > 0:
+                stride += 1
+        for bi, bj in blocks:  # fix phase
+            coalesced += 2 * w * w + 2 * w
+            stride += 1
+            if bi < m - 1:
+                coalesced += w
+            if bj < m - 1:
+                coalesced += w
+    for stage in range(t, 2 * (m - 1) - t + 1):  # middle band
+        kernels += 1
+        for bi, bj in grid.diagonal(stage):
+            coalesced += _block_stage_traffic(bi, bj, m, w)
+    return PredictedCounts(coalesced=coalesced, stride=stride, kernels=kernels)
+
+
+@pytest.mark.parametrize("w", [4, 8, 32])
+def test_kr1w_closed_form_matches_block_enumeration(w):
+    """Every triangle size t at every grid side m = 1..48."""
+    for m in range(1, 49):
+        for t in range(m):
+            p = t / (m - 1) if m > 1 else 0.0
+            assert int(round(p * (m - 1))) == t
+            assert counts_kr1w(m * w, w, p) == _enumerated_kr1w(m * w, w, p), (m, t)

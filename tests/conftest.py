@@ -1,9 +1,26 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.machine.engine.native import CACHE_DIR_ENV_VAR
 from repro.machine.params import MachineParams
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache_dir(tmp_path_factory):
+    """Build native modules into a session temporary directory instead of
+    the home directory, unless the caller set one. Subprocesses the tests
+    start inherit it through the environment."""
+    if os.environ.get(CACHE_DIR_ENV_VAR):
+        yield os.environ[CACHE_DIR_ENV_VAR]
+        return
+    path = str(tmp_path_factory.mktemp("native-cache"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_DIR_ENV_VAR, path)
+        yield path
 
 
 @pytest.fixture

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.machine.engine import ExecutionEngine, PlanCache
-from repro.machine.engine.fused import FusedKernelSpec, build_fused_schedule
+from repro.machine.engine.fused import (
+    ROW_SWEEP_MIN_COLS,
+    FusedKernelSpec,
+    build_fused_schedule,
+    prefix_sum_rows,
+)
 from repro.machine.macro.counters import AccessCounters
 from repro.machine.macro.executor import HMMExecutor
 from repro.machine.params import MachineParams
@@ -98,6 +103,74 @@ def test_fused_rectangular_inputs(name, rng):
     algo.compute(a, PARAMS, engine=engine)
     fused = algo.compute(a, PARAMS, engine=engine, fast=True, fused=True)
     _assert_identical(fused, reference)
+
+
+def _wide_range_floats(rng, shape):
+    """Signed floats over many magnitudes: any reassociation shows."""
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-6, 6, shape))
+
+
+def _assert_fused_matches_counted(algo, a, params=PARAMS):
+    engine = fresh_engine()
+    counted = algo.compute(a, params, engine=engine)
+    fused = algo.compute(a, params, engine=engine, fast=True, fused="numpy")
+    _assert_identical(fused, counted)
+
+
+@pytest.mark.parametrize("name", ["2R2W", "4R4W"])
+@pytest.mark.parametrize("shape", [(64, 1024), (1024, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fused_column_scans_on_both_sides_of_the_row_sweep(name, shape, rng):
+    """One of the two column scans is wider than ROW_SWEEP_MIN_COLS (row
+    sweep) and one narrower (cumsum); both must match the counted strips."""
+    assert min(shape) < ROW_SWEEP_MIN_COLS <= max(shape)
+    _assert_fused_matches_counted(make_algorithm(name), _wide_range_floats(rng, shape))
+
+
+@pytest.mark.parametrize(
+    "shape", [(16, 40), (40, 16), (8, 64), (64, 8)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_fused_rectangular_1r1w_grids_on_float_inputs(shape, rng):
+    """Whole-block gathers on non-square tile views, one-block-wide too."""
+    _assert_fused_matches_counted(make_algorithm("1R1W"), _wide_range_floats(rng, shape))
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("side", [16, 40])
+def test_fused_kr1w_triangles_on_float_inputs(p, side, rng):
+    """Both triangles hold blocks on the matrix edges (first and last block
+    row and column), where the fix phase skips publishing."""
+    _assert_fused_matches_counted(CombinedKR1W(p=p), _wide_range_floats(rng, (side, side)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 5),
+        (9, 1),
+        (1, ROW_SWEEP_MIN_COLS),
+        (37, ROW_SWEEP_MIN_COLS - 1),
+        (37, ROW_SWEEP_MIN_COLS),
+        (3, 5, ROW_SWEEP_MIN_COLS + 8),
+        (3, 5, 8),
+    ],
+    ids=lambda s: "x".join(map(str, s)),
+)
+def test_prefix_sum_rows_is_cumsum_bit_for_bit(shape, rng):
+    x = _wide_range_floats(rng, shape) * 10.0 ** rng.integers(-200, 200, shape)
+    x.reshape(-1)[::3] = -0.0  # zero signs survive only in cumsum's order
+    expected = np.cumsum(x, axis=-2)
+    prefix_sum_rows(x)
+    assert np.array_equal(x, expected)
+    assert np.array_equal(np.signbit(x), np.signbit(expected))
+
+
+def test_prefix_sum_rows_writes_through_a_strided_region(rng):
+    """ColumnScanSpec hands it a sub-region view of the buffer."""
+    buf = _wide_range_floats(rng, (20, ROW_SWEEP_MIN_COLS + 40))
+    expected = buf.copy()
+    expected[3:17, 8:] = np.cumsum(expected[3:17, 8:], axis=0)
+    prefix_sum_rows(buf[3:17, 8:])
+    assert np.array_equal(buf, expected)
 
 
 def test_fused_false_selects_per_task_replay(rng):

@@ -52,6 +52,20 @@ class TestAllocation:
         assert np.array_equal(gm.array("F"), src)
         assert list(gm.read_drun("F", 0, 3, 3)) == [3, 6, 9]
 
+    def test_adopt_keeps_the_array(self, gm):
+        src = np.arange(8.0).reshape(2, 4)
+        assert gm.adopt("B", src) is src
+        assert gm.array("B") is src
+        assert gm.read_hrun("B", 1, 0, 4).tolist() == [4, 5, 6, 7]
+
+    def test_adopt_rejects_non_row_major(self, gm):
+        """A drun is a strided view of the flat buffer only in C order."""
+        with pytest.raises(ShapeError):
+            gm.adopt("F", np.asfortranarray(np.zeros((3, 4))))
+        with pytest.raises(ShapeError):
+            gm.adopt("S", np.zeros((4, 8))[:, ::2])
+        assert not gm.has("F") and not gm.has("S")
+
     def test_duplicate_name_rejected(self, gm):
         gm.alloc("A", (4, 4))
         with pytest.raises(AccessError):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.machine.engine import ExecutionEngine, PlanCache
+from repro.machine.macro.executor import HMMExecutor
 from repro.machine.params import MachineParams
 from repro.sat import ALGORITHM_NAMES, make_algorithm
 from repro.sat.reference import assert_sat_equal, sat_reference
@@ -105,6 +107,50 @@ class TestResultObject:
         before = a.copy()
         make_algorithm("2R2W").compute(a, params)
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("name", ALL_ALGOS)
+    @pytest.mark.parametrize(
+        "path",
+        [
+            {"use_plan_cache": False},
+            {},
+            {"fast": True, "fused": "numpy"},
+            {"fast": True, "fused": "native"},
+            {"fast": True, "fused": False},
+        ],
+        ids=["direct", "counted", "fused", "native", "replay"],
+    )
+    @pytest.mark.parametrize("kind", ["float64", "fortran", "readonly", "int"])
+    def test_result_owns_its_memory(self, name, path, kind):
+        """compute copies its input once and hands that copy back as the
+        SAT: the input is never written, and no result shares memory with
+        the input or with another call's result."""
+        params = MachineParams(width=4, latency=5)
+        a = random_matrix(8, seed=3, dtype=np.int64 if kind == "int" else np.float64)
+        if kind == "fortran":
+            a = np.asfortranarray(a)
+        elif kind == "readonly":
+            a.setflags(write=False)
+        before = a.copy()
+        algo = make_algorithm(name)
+        engine = ExecutionEngine(cache=PlanCache())
+        algo.compute(a, params, engine=engine)  # plan and per-kernel tallies
+        first = algo.compute(a, params, engine=engine, **path)
+        second = algo.compute(a, params, engine=engine, **path)
+        assert np.array_equal(a, before)
+        assert_sat_equal(first.sat, before)
+        assert not np.shares_memory(first.sat, a)
+        assert not np.shares_memory(second.sat, a)
+        assert not np.shares_memory(first.sat, second.sat)
+
+    def test_result_is_a_copy_of_a_supplied_executor_buffer(self):
+        """A caller's executor outlives the call, so its buffer stays its own."""
+        params = MachineParams(width=4, latency=5)
+        a = random_matrix(8)
+        executor = HMMExecutor(params)
+        result = make_algorithm("1R1W").compute(a, params, executor=executor)
+        assert not np.shares_memory(result.sat, executor.gm.array("A"))
+        assert np.array_equal(result.sat, executor.gm.array("A"))
 
     def test_reads_writes_per_element_ordering(self):
         """1R1W must touch fewer global words per element than 2R1W, which
