@@ -68,6 +68,7 @@ __all__ = [
     "TriangleSumsSpec",
     "attach_fused_spec",
     "prefix_sum_rows",
+    "tile_view",
 ]
 
 #: Row width (in elements) from which :func:`prefix_sum_rows` sweeps whole
@@ -108,21 +109,27 @@ def attach_fused_spec(tasks: List, spec: FusedKernelSpec) -> List:
     return tasks
 
 
-def prefix_sum_rows(x: np.ndarray) -> None:
-    """In place: ``np.cumsum(x, axis=-2, out=x)``, bit for bit.
+def prefix_sum_rows(x: np.ndarray, out: Optional[np.ndarray] = None) -> None:
+    """``np.cumsum(x, axis=-2, out=out)``, bit for bit; in place without ``out``.
 
-    From :data:`ROW_SWEEP_MIN_COLS` columns on, the prefix sum runs as a
-    sweep ``x[..., r, :] = x[..., r - 1, :] + x[..., r, :]`` — the same
-    additions in the same order as cumsum's sequential accumulation.
+    ``out`` has ``x``'s shape and dtype. From :data:`ROW_SWEEP_MIN_COLS`
+    columns on, the prefix sum runs as a sweep
+    ``out[..., r, :] = out[..., r - 1, :] + x[..., r, :]`` after copying
+    row 0 — the same additions in the same order as cumsum's sequential
+    accumulation.
     """
+    if out is None:
+        out = x
     if x.shape[-1] < ROW_SWEEP_MIN_COLS:
-        np.cumsum(x, axis=-2, out=x)
+        np.cumsum(x, axis=-2, out=out)
         return
+    if out is not x:
+        out[..., 0, :] = x[..., 0, :]
     for r in range(1, x.shape[-2]):
-        np.add(x[..., r - 1, :], x[..., r, :], out=x[..., r, :])
+        np.add(out[..., r - 1, :], x[..., r, :], out=out[..., r, :])
 
 
-def _tiles(a: np.ndarray, w: int) -> np.ndarray:
+def tile_view(a: np.ndarray, w: int) -> np.ndarray:
     """View of a 2-D buffer as its ``w x w`` blocks: ``[bi, bj]`` is block ``(bi, bj)``.
 
     Splitting axes never copies, so writes through the view reach ``a``.
@@ -238,7 +245,7 @@ class Step1Spec(FusedKernelSpec):
         n = m * w
         a = gm.array(self.buf)
         # (m, m, w, w): tiles[bi, bj] is block (bi, bj), each C-contiguous.
-        tiles = np.ascontiguousarray(_tiles(a[:n, :n], w))
+        tiles = np.ascontiguousarray(tile_view(a[:n, :n], w))
         col_sums = tiles.sum(axis=2)  # (m, m, w): per-block tile.sum(axis=0)
         row_sums = tiles.sum(axis=3)  # (m, m, w): per-block tile.sum(axis=1)
         totals = tiles.reshape(m * m, w * w).sum(axis=1).reshape(m, m)
@@ -265,7 +272,7 @@ class Step3Spec(FusedKernelSpec):
         m, w = self.m, self.w
         n = m * w
         a = gm.array(self.buf)[:n, :n]
-        tiles = _tiles(a, w)
+        tiles = tile_view(a, w)
         c = gm.array(self.c_buf)
         rt = gm.array(self.rt_buf)
         mm = gm.array(self.m_buf)
@@ -360,7 +367,7 @@ class BlockStageSpec(FusedKernelSpec):
 
     def execute(self, gm) -> None:
         w = self.w
-        grid = _tiles(gm.array(self.buf), w)
+        grid = tile_view(gm.array(self.buf), w)
         aux_b = gm.array(self.aux_bottom)
         aux_r = gm.array(self.aux_right)
         bi, bj = self.bi, self.bj
@@ -408,7 +415,7 @@ class TriangleSumsSpec(FusedKernelSpec):
 
     def execute(self, gm) -> None:
         w, bi, bj = self.w, self.bi, self.bj
-        tiles = _tiles(gm.array(self.buf), w)[bi, bj]
+        tiles = tile_view(gm.array(self.buf), w)[bi, bj]
         _runs(gm.array(self.cs_buf), w)[bi, bj] = tiles.sum(axis=1)
         _runs(gm.array(self.rs_buf), w)[bj, bi] = tiles.sum(axis=2)
 
@@ -444,7 +451,7 @@ class TriangleFixSpec(FusedKernelSpec):
 
     def execute(self, gm) -> None:
         w, bi, bj = self.w, self.bi, self.bj
-        grid = _tiles(gm.array(self.buf), w)
+        grid = tile_view(gm.array(self.buf), w)
         tiles = grid[bi, bj]
         top = _runs(gm.array(self.col_above_buf), w)[bi, bj]
         left = _runs(gm.array(self.row_left_buf), w)[bj, bi]

@@ -85,7 +85,7 @@ from ..errors import ConfigurationError, CorruptionDetected, UnknownDataset, Wor
 from ..obs import runtime as obs
 from ..util.backoff import Clock, ExponentialBackoff, SystemClock
 from ..util.slab import Attached, attach_slab, detach_slabs, grow_slab, release_slab
-from .store import Dataset
+from .store import Dataset, TileRange
 
 __all__ = [
     "CheckpointStore",
@@ -754,11 +754,17 @@ def checkpoint_checksum(buf, offset: int = 0) -> Tuple[int, int]:
     return int(sums.sum()), int((sums * weights).sum())
 
 
-def write_checkpoint(arrays: Tuple[np.ndarray, ...], *, lo: int, hi: int,
+def write_checkpoint(arrays: Tuple[Any, ...], *, lo: int, hi: int,
                      version: int) -> memoryview:
     """Pack a shard's ``(local, col, row, corner)`` — ``(k, t, t)``,
     ``(k, t)``, ``(k, t)`` and ``(k,)`` for ``k = hi - lo`` tiles — into
-    one flat, checksummed checkpoint (a read-only buffer)."""
+    one flat, checksummed checkpoint (a read-only buffer).
+
+    Each array is copied once, straight into the checkpoint: an ndarray
+    by assignment, a :class:`~repro.service.store.TileRange` (the
+    ``local`` of :meth:`~repro.service.store.TileAggregates.shard_arrays`)
+    one tile row at a time.
+    """
     dtype = arrays[0].dtype
     t = arrays[0].shape[-1]
     if dtype.hasobject:
@@ -768,7 +774,11 @@ def write_checkpoint(arrays: Tuple[np.ndarray, ...], *, lo: int, hi: int,
     off = _CKPT_HEADER.size
     for array, size in zip(arrays, sizes):
         end = off + array.nbytes
-        buf[off:end].view(dtype).reshape(array.shape)[...] = array
+        dst = buf[off:end].view(dtype).reshape(array.shape)
+        if isinstance(array, TileRange):
+            array.copy_into(dst)
+        else:
+            dst[...] = array
         buf[end:off + size] = 0  # padding: the checksum covers it
         off += size
     _CKPT_HEADER.pack_into(buf, 0, 0, 0, _CKPT_TAG, dtype.str.encode("ascii"),

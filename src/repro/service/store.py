@@ -18,6 +18,16 @@ served, not just computed:
   aggregate suffixes downstream of it — ``O(t^2 + (n/t)^2 + n)`` work
   instead of the ``O(n^2)`` full recompute.
 
+Layout
+------
+The tile payloads and local SATs live in two zero-padded row-major
+``(nb_r * t, nb_c * t)`` matrices, like the buffer 2R1W's Step 3 scans
+with coalesced row accesses. Per-tile indexing ``[I, J, i, j]`` is a view
+of each (``reshape(nb_r, t, nb_c, t).transpose(0, 2, 1, 3)``), so the
+lookups, folds and updates index tiles while the build, a region patch
+and :meth:`TileAggregates.matrix` work on whole rows. The edge and
+corner aggregates are small and stay tile-indexed arrays.
+
 Bit-identity contract
 ---------------------
 Every aggregate is defined as a *sequential* accumulation chain (numpy
@@ -44,9 +54,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, ShapeError, UnknownDataset
+from ..machine.engine.fused import prefix_sum_rows, tile_view
 from ..obs import runtime as obs
 
-__all__ = ["Dataset", "TileAggregates", "TiledSATStore", "auto_tile_sats"]
+__all__ = ["Dataset", "TileAggregates", "TileRange", "TiledSATStore",
+           "auto_tile_sats"]
 
 #: Default tile side. 64 balances update cost (``O(t^2)``) against
 #: aggregate size (``O((n/t)^2)``) around the n=1K-4K serving sweet spot;
@@ -58,7 +70,9 @@ DEFAULT_TILE = 64
 #: the server to offload initial ingest to a
 #: :class:`~repro.sat.batch.BatchSession`. Must be bit-identical to
 #: ``np.cumsum(np.cumsum(tile, 0), 1)`` per tile (the HMM algorithms are,
-#: per the conformance suite).
+#: per the conformance suite). Backends compute in float64, so the store
+#: hands them float64 datasets only and builds every other dtype with
+#: the numpy chains.
 TileSATFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -103,16 +117,61 @@ def _resolve_tile_sats(tile_sats) -> Optional[TileSATFn]:
     return tile_sats
 
 
+class TileRange:
+    """Tiles ``[lo, hi)`` (row-major tile order) of a ``(nb_r, nb_c, t, t)``
+    tile view, as a ``(hi - lo, t, t)`` array-like.
+
+    One tile row's tiles are one strided view of a row-major matrix, but
+    a range that wraps to the next tile row is not, and ``reshape(k, t,
+    t)`` would copy the whole grid. :meth:`copy_into` packs the range
+    into a contiguous ``(k, t, t)`` destination with one copy, one tile
+    row at a time, and ``np.asarray`` gathers a new array the same way.
+    It reads the live tiles, like any view.
+    """
+
+    __slots__ = ("tiles", "lo", "hi", "shape", "dtype", "nbytes")
+
+    def __init__(self, tiles: np.ndarray, lo: int, hi: int):
+        self.tiles, self.lo, self.hi = tiles, lo, hi
+        self.shape = (hi - lo,) + tiles.shape[2:]
+        self.dtype = tiles.dtype
+        self.nbytes = (hi - lo) * tiles[0, 0].nbytes
+
+    def copy_into(self, out: np.ndarray) -> None:
+        """Write the tiles into ``out``, a ``(hi - lo, t, t)`` array, one
+        tile row's view at a time."""
+        nb_c = self.tiles.shape[1]
+        lin = self.lo
+        while lin < self.hi:
+            i, j = divmod(lin, nb_c)
+            end = min(self.hi, lin - j + nb_c)
+            out[lin - self.lo : end - self.lo] = self.tiles[i, j : j + end - lin]
+            lin = end
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape, dtype=self.dtype)
+        self.copy_into(out)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 class TileAggregates:
     """One matrix decomposed into ``t x t`` tiles with serving aggregates.
 
-    Arrays (``nb_r x nb_c`` tiles, zero-padded at the ragged edges):
+    Storage (``nb_r x nb_c`` tiles, zero-padded at the ragged edges):
+
+    ``raw2d``
+        ``(nb_r * t, nb_c * t)`` row-major copy of the matrix (the update
+        paths need the pre-SAT values to re-fold a tile exactly).
+    ``local2d``
+        ``(nb_r * t, nb_c * t)`` row-major matrix of per-tile local SATs.
+
+    Tile-indexed arrays; the first two are views of the matrices above:
 
     ``raw``
-        ``(nb_r, nb_c, t, t)`` original tile payloads (the update paths
-        need the pre-SAT values to re-fold a tile exactly).
+        ``(nb_r, nb_c, t, t)`` view of ``raw2d``: ``raw[I, J]`` is tile
+        ``(I, J)``'s payload.
     ``local``
-        ``(nb_r, nb_c, t, t)`` per-tile local SATs.
+        ``(nb_r, nb_c, t, t)`` view of ``local2d``: per-tile local SATs.
     ``col_above``
         ``(nb_r, nb_c, t)``; ``col_above[I, J, j]`` is the sum of all
         elements *above* tile ``(I, J)`` in its global columns
@@ -131,7 +190,8 @@ class TileAggregates:
 
     __slots__ = (
         "rows", "cols", "t", "nb_r", "nb_c", "dtype", "version",
-        "raw", "local", "col_above", "row_left", "tot_col", "corner",
+        "raw2d", "local2d", "raw", "local",
+        "col_above", "row_left", "tot_col", "corner",
     )
 
     def __init__(self, matrix: np.ndarray, tile: int,
@@ -150,26 +210,22 @@ class TileAggregates:
         self.dtype = _sat_dtype(matrix.dtype)
         self.version = 0
         t = self.t
-        # raw is (nb_r, nb_c, t, t), contiguous per tile. Tile-aligned
-        # input is written straight through raw's (nb_r, t, nb_c, t)
-        # view; ragged input goes through a zero-padded copy first.
-        if self.rows % t == 0 and self.cols % t == 0:
-            self.raw = np.empty((self.nb_r, self.nb_c, t, t), dtype=self.dtype)
-            self.raw.transpose(0, 2, 1, 3)[...] = matrix.reshape(
-                self.nb_r, t, self.nb_c, t
-            )
-        else:
-            padded = np.zeros((self.nb_r * t, self.nb_c * t), dtype=self.dtype)
-            padded[: self.rows, : self.cols] = matrix
-            self.raw = np.ascontiguousarray(
-                padded.reshape(self.nb_r, t, self.nb_c, t).transpose(0, 2, 1, 3)
-            )
-        if tile_sats is None:
-            self.local = np.cumsum(self.raw, axis=2)
-            np.cumsum(self.local, axis=3, out=self.local)
-        else:
-            flat = tile_sats(self.raw.reshape(-1, t, t))
-            self.local = np.asarray(flat, dtype=self.dtype).reshape(self.raw.shape)
+        self.raw2d = np.empty((self.nb_r * t, self.nb_c * t), dtype=self.dtype)
+        self.raw2d[: self.rows, : self.cols] = matrix
+        self.raw2d[self.rows :] = 0
+        self.raw2d[: self.rows, self.cols :] = 0
+        self.local2d = np.empty_like(self.raw2d)
+        self.raw = tile_view(self.raw2d, t)
+        self.local = tile_view(self.local2d, t)
+        if not self._backend_sats(0, 0, self.nb_r - 1, self.nb_c - 1, tile_sats):
+            # np.cumsum(np.cumsum(tile, 0), 1)'s additions in its order:
+            # the in-tile column scan as a sweep of whole matrix rows, then
+            # the in-tile row scan as one in-place cumsum along the rows.
+            width = self.nb_c * t
+            prefix_sum_rows(self.raw2d.reshape(self.nb_r, t, width),
+                            out=self.local2d.reshape(self.nb_r, t, width))
+            runs = self.local2d.reshape(self.nb_r * t, self.nb_c, t)
+            np.cumsum(runs, axis=2, out=runs)
         self.col_above = np.zeros((self.nb_r, self.nb_c, t), dtype=self.dtype)
         self.row_left = np.zeros((self.nb_r, self.nb_c, t), dtype=self.dtype)
         self.tot_col = np.zeros((self.nb_r, self.nb_c), dtype=self.dtype)
@@ -177,6 +233,23 @@ class TileAggregates:
         self._fold_columns(0, 0, self.nb_c - 1)
         self._fold_rows(0, self.nb_r - 1, 0)
         self._fold_corners(0, 0)
+
+    def _backend_sats(self, i0: int, j0: int, i1: int, j1: int,
+                      tile_sats: Optional[TileSATFn]) -> bool:
+        """Build the local SATs of the inclusive tile box through
+        ``tile_sats``; False when the numpy chains must build them.
+
+        Backends compute in float64, so only float64 data may use one. A
+        backend is handed the box's tiles gathered into a contiguous
+        ``(k, t, t)`` stack.
+        """
+        if tile_sats is None or self.dtype != np.float64:
+            return False
+        t = self.t
+        box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
+        flat = tile_sats(box.reshape(-1, t, t))
+        self.local[i0 : i1 + 1, j0 : j1 + 1] = np.asarray(flat).reshape(box.shape)
+        return True
 
     # -- folding (the canonical accumulation chains) -------------------------
     #
@@ -247,17 +320,14 @@ class TileAggregates:
         the box's columns, ``row_left`` right of the box's rows, and the
         corner quadrant — nothing else is touched.
         """
-        box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
-        if tile_sats is None:
+        if not self._backend_sats(i0, j0, i1, j1, tile_sats):
+            # Into a fresh tile stack, then one write back: scanning down
+            # the box in place would write rows a whole matrix row apart
+            # (slower for the one-tile box of a point update).
+            box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
             self.local[i0 : i1 + 1, j0 : j1 + 1] = np.cumsum(
                 np.cumsum(box, axis=2), axis=3
             )
-        else:
-            t = self.t
-            flat = tile_sats(box.reshape(-1, t, t))
-            self.local[i0 : i1 + 1, j0 : j1 + 1] = np.asarray(
-                flat, dtype=self.dtype
-            ).reshape(box.shape)
         self._fold_columns(i0, j0, j1)
         self._fold_rows(i0, i1, j0)
         self._fold_corners(i0, j0)
@@ -271,21 +341,25 @@ class TileAggregates:
     # scalar — is gathered per tile, so a worker holding a shard answers
     # F(r, c) for any (r, c) inside its tiles without the rest of the grid.
 
-    def shard_arrays(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+    def shard_arrays(self, lo: int, hi: int) -> Tuple[object, ...]:
         """Per-tile serving state ``(local, col, row, corner)`` for
-        linearized tiles ``[lo, hi)``.
+        linearized tiles ``[lo, hi)``: ``(k, t, t)``, ``(k, t)``,
+        ``(k, t)`` and ``(k,)`` for ``k = hi - lo``.
 
-        The first three are views: the tile grid flattened to
-        ``(nb_r * nb_c, ...)`` makes a lin range one contiguous slice.
-        The corners are gathered out of the zero-padded grid. The views
-        follow later updates, so a caller that keeps the state copies it
-        under the dataset lock.
+        Nothing full-size is copied. ``local`` is a :class:`TileRange`
+        over the tile view of the row-major ``local2d``, which
+        :func:`~repro.service.cluster.write_checkpoint` packs straight
+        into the checkpoint. ``col`` and ``row`` are views: the
+        tile-indexed edge arrays flattened to ``(nb_r * nb_c, t)`` make a
+        lin range one contiguous slice. The corners are gathered out of
+        the zero-padded grid. The views follow later updates, so a caller
+        that keeps the state copies it under the dataset lock.
         """
         k = self.nb_r * self.nb_c
         t = self.t
         i, j = np.divmod(np.arange(lo, hi, dtype=np.int64), self.nb_c)
         return (
-            self.local.reshape(k, t, t)[lo:hi],
+            TileRange(self.local, lo, hi),
             self.col_above.reshape(k, t)[lo:hi],
             self.row_left.reshape(k, t)[lo:hi],
             self.corner[i, j],
@@ -372,10 +446,8 @@ class TileAggregates:
         return out[: self.rows, : self.cols]
 
     def matrix(self) -> np.ndarray:
-        """The current (updated) source matrix, reassembled from ``raw``."""
-        t = self.t
-        out = self.raw.transpose(0, 2, 1, 3).reshape(self.nb_r * t, self.nb_c * t)
-        return out[: self.rows, : self.cols].copy()
+        """A copy of the current (updated) source matrix."""
+        return self.raw2d[: self.rows, : self.cols].copy()
 
     @property
     def nbytes(self) -> int:

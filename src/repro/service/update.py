@@ -54,28 +54,16 @@ def _as_region(ds: Dataset, top: int, left: int, block: np.ndarray) -> np.ndarra
 
 
 def _patch_raw(agg, top: int, left: int, block: np.ndarray, *, add: bool):
-    """Write ``block`` into ``agg.raw`` (set or +=); returns the tile box."""
-    t = agg.t
+    """Write ``block`` into ``agg.raw2d`` (set or +=); returns the tile box."""
     bottom = top + block.shape[0] - 1
     right = left + block.shape[1] - 1
-    i0, i1 = top // t, bottom // t
-    j0, j1 = left // t, right // t
-    for ti in range(i0, i1 + 1):
-        r_lo = max(top, ti * t)
-        r_hi = min(bottom, ti * t + t - 1)
-        for tj in range(j0, j1 + 1):
-            c_lo = max(left, tj * t)
-            c_hi = min(right, tj * t + t - 1)
-            dst = agg.raw[
-                ti, tj, r_lo - ti * t : r_hi - ti * t + 1,
-                c_lo - tj * t : c_hi - tj * t + 1,
-            ]
-            src = block[r_lo - top : r_hi - top + 1, c_lo - left : c_hi - left + 1]
-            if add:
-                dst += src.astype(agg.dtype, copy=False)
-            else:
-                dst[...] = src
-    return i0, j0, i1, j1
+    dst = agg.raw2d[top : bottom + 1, left : right + 1]
+    if add:
+        dst += block.astype(agg.dtype, copy=False)
+    else:
+        dst[...] = block
+    t = agg.t
+    return top // t, left // t, bottom // t, right // t
 
 
 def point_update(ds: Dataset, r: int, c: int, *,

@@ -173,6 +173,27 @@ def test_prefix_sum_rows_writes_through_a_strided_region(rng):
     assert np.array_equal(buf, expected)
 
 
+@pytest.mark.parametrize("cols", [ROW_SWEEP_MIN_COLS - 1, ROW_SWEEP_MIN_COLS + 8])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_prefix_sum_rows_out_leaves_its_input_and_matches_cumsum(rng, cols, dtype):
+    """The serving store scans ``raw`` into ``local`` through strided
+    ``(bands, t, cols)`` views of two row-major matrices."""
+    if dtype is np.int64:
+        src = rng.integers(-2**40, 2**40, size=(24, cols + 4), dtype=np.int64)
+    else:
+        src = (_wide_range_floats(rng, (24, cols + 4)) * 1e6).astype(dtype)
+        src.reshape(-1)[::5] = -0.0
+    before = src.copy()
+    dst = np.full_like(src, 7)
+    x = src[:, 2 : cols + 2].reshape(3, 8, cols)
+    out = dst[:, 2 : cols + 2].reshape(3, 8, cols)
+    prefix_sum_rows(x, out=out)
+    expected = np.cumsum(x, axis=-2)
+    assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+    assert np.array_equal(src, before)
+    assert (dst[:, :2] == 7).all() and (dst[:, cols + 2 :] == 7).all()
+
+
 def test_fused_false_selects_per_task_replay(rng):
     """``fused=False`` still runs the fast path, per-task — same results."""
     a = rng.integers(0, 50, size=(24, 24)).astype(np.float64)

@@ -12,6 +12,7 @@ import dataclasses
 import sys
 import threading
 import time
+import tracemalloc
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
@@ -213,6 +214,54 @@ def test_flat_checkpoint_round_trips_bitwise(rng, dtype):
         assert array.dtype == want.dtype and array.shape == want.shape
         assert array.tobytes() == np.ascontiguousarray(want).tobytes()
         assert array.flags.owndata and array.flags.writeable  # copied out
+
+
+def _tile_major_checkpoint(ds, lo, hi):
+    """The checkpoint packed from contiguous tile-major copies of the
+    shard's arrays, as a tile-major store laid them out."""
+    agg = ds.values
+    k, t = agg.nb_r * agg.nb_c, agg.t
+    i, j = np.divmod(np.arange(lo, hi), agg.nb_c)
+    arrays = (
+        np.ascontiguousarray(agg.local).reshape(k, t, t)[lo:hi],
+        np.ascontiguousarray(agg.col_above).reshape(k, t)[lo:hi],
+        np.ascontiguousarray(agg.row_left).reshape(k, t)[lo:hi],
+        np.ascontiguousarray(agg.corner[i, j]),
+    )
+    return write_checkpoint(arrays, lo=lo, hi=hi, version=ds.version)
+
+
+def test_packing_a_range_copies_that_range_not_the_grid(rng):
+    """A range's tiles are one view per tile row of the row-major local
+    SATs; packing them is the checkpoint's one copy. A gather through
+    ``reshape(k, t, t)`` would copy the whole 8 MiB grid first."""
+    ds = Dataset("img", rng.integers(0, 256, size=(1024, 1024)).astype(np.float64), 64)
+    ds.update_point(700, 300, delta=5.0)
+    # Ranges that start and end mid tile row (16 tiles per row).
+    ranges = [(0, 37), (37, 200), (200, 256)]
+    store = CheckpointStore()
+    store.register(ds, ranges)
+    for range_id, (lo, hi) in enumerate(ranges):
+        tracemalloc.start()
+        try:
+            blob = store.payload_for("img", range_id).blob
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob) + 64 * 1024
+        assert bytes(blob) == bytes(_tile_major_checkpoint(ds, lo, hi))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex128])
+@pytest.mark.parametrize("shape,tile", [((23, 31), 5), ((8, 40), 8), ((40, 3), 4)])
+def test_checkpoint_bytes_match_the_tile_major_packing(rng, dtype, shape, tile):
+    ds = Dataset("img", (rng.standard_normal(shape) * 10).astype(dtype), tile)
+    ds.add_region(0, 1, np.ones((3, 2), dtype=dtype))
+    k = ds.values.nb_r * ds.values.nb_c
+    for lo, hi in [(0, k), (0, 1), (k - 1, k), (1, k - 1), (k // 3, 2 * k // 3)]:
+        blob = write_checkpoint(ds.values.shard_arrays(lo, hi), lo=lo, hi=hi,
+                                version=ds.version)
+        assert bytes(blob) == bytes(_tile_major_checkpoint(ds, lo, hi))
 
 
 def test_read_checkpoint_leaves_no_view_of_its_buffer(rng):

@@ -1,11 +1,18 @@
 """TileAggregates construction and the bounded LRU store."""
 
+import asyncio
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.autotune import set_default_planner
 from repro.errors import ConfigurationError, ShapeError, UnknownDataset
+from repro.machine.params import MachineParams
+from repro.sat.batch import BatchSession
 from repro.sat.reference import sat_reference
-from repro.service.store import Dataset, TileAggregates, TiledSATStore
+from repro.service.server import SATServer
+from repro.service.store import Dataset, TileAggregates, TiledSATStore, auto_tile_sats
 
 
 def _padded_construction(matrix, t):
@@ -190,3 +197,95 @@ class TestTiledSATStore:
         assert s["datasets"] == 1
         assert s["bytes"] == store.get("a").nbytes
         assert s["capacity_bytes"] == 10**9
+
+
+# --- tile-SAT backends build float64 datasets only ---------------------------
+
+W8 = MachineParams(width=8, latency=16)
+
+#: Past 2**53 an int64 loses bits in a float64 round trip.
+BIG = 2**60 + 1
+
+
+@pytest.fixture
+def isolated_autotune(tmp_path, monkeypatch):
+    """``"auto"`` must not read or write the home directory's sidecar."""
+    monkeypatch.setenv("REPRO_AUTOTUNE_PATH", str(tmp_path / "autotune.json"))
+    previous = set_default_planner(None)
+    yield
+    set_default_planner(previous)
+
+
+def _assert_same_state(got, want):
+    for name in ("raw", "local", "col_above", "row_left", "tot_col", "corner"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+def _non_float64_matrices(rng, n):
+    """A float32 matrix whose float64 tile sums round differently, and an
+    int64 one that a float64 round trip cannot hold."""
+    return {
+        "float32": (rng.standard_normal((n, n)) * 100).astype(np.float32),
+        "int64": np.full((n, n), BIG, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int32, np.bool_,
+                                   np.complex128])
+def test_backends_are_never_handed_other_dtypes(rng, dtype):
+    calls = []
+
+    def backend(tiles):
+        calls.append(tiles.dtype)
+        return np.cumsum(np.cumsum(tiles, axis=1), axis=2)
+
+    m = rng.integers(0, 2, size=(12, 12)).astype(dtype)
+    ds = Dataset("d", m, 4, tile_sats=backend, update_tile_sats=backend)
+    ds.update_point(5, 6, delta=1)
+    ds.add_region(2, 3, np.ones((6, 5), dtype=dtype))
+    assert calls == []
+    _assert_same_state(ds.values, TileAggregates(ds.values.matrix(), 4))
+    # float64 data still goes through the backend, at ingest and on update.
+    Dataset("f", m.real.astype(np.float64), 4, tile_sats=backend,
+            update_tile_sats=backend).update_point(0, 0, delta=1.0)
+    assert calls == [np.float64, np.float64]
+
+
+def test_store_put_auto_keeps_non_float64_bit_identical(rng, isolated_autotune):
+    store = TiledSATStore()
+    for name, m in _non_float64_matrices(rng, 64).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no lossy cast
+            auto = store.put(f"{name}-auto", m, tile=32, tile_sats="auto")
+        plain = store.put(name, m, tile=32)
+        _assert_same_state(auto.values, plain.values)
+    assert store.get("int64-auto").region_sum(0, 0, 1, 1) == 4 * BIG
+
+
+def test_server_session_ingest_keeps_non_float64_bit_identical(rng):
+    matrices = _non_float64_matrices(rng, 16)
+
+    async def main():
+        with BatchSession("1R1W", W8, workers=1) as session:
+            async with SATServer(TiledSATStore(), session=session) as server:
+                for name, m in matrices.items():
+                    await server.ingest(name, m, tile=8)
+                response = await server.region_sum("int64", 0, 0, 1, 1)
+                return server.store, response.value
+
+    store, value = asyncio.run(main())
+    assert value == 4 * BIG
+    for name, m in matrices.items():
+        _assert_same_state(store.get(name).values, TileAggregates(m, 8))
+
+
+def test_update_backend_keeps_non_float64_bit_identical(rng):
+    for name, m in _non_float64_matrices(rng, 16).items():
+        ds = Dataset(name, m, 8, update_tile_sats=auto_tile_sats(W8))
+        ds.update_point(1, 1, delta=m.dtype.type(1))
+        ds.add_region(3, 2, np.full((9, 7), 3, dtype=m.dtype))
+        _assert_same_state(ds.values, TileAggregates(ds.values.matrix(), 8))
+        if name == "int64":
+            assert ds.region_sum(0, 0, 1, 1) == 4 * BIG + 1
