@@ -1,4 +1,4 @@
-"""Execution-engine throughput: plan caching, fast replay, pipelined streams.
+"""Execution-engine throughput: plan caching, the fast path, pipelined streams.
 
 Measures the three layers the engine adds and writes them to
 ``results/BENCH_throughput.json``:
@@ -9,16 +9,15 @@ Measures the three layers the engine adds and writes them to
    workload pays before any kernel runs.
 2. **End-to-end compute** — full ``SATAlgorithm.compute`` ops/sec cold
    (empty cache, counted execution) vs warm (cached plan, ``fast=True``
-   counter replay). The block tasks' real numpy work is identical on both
-   paths, so this ratio isolates what accounting + compilation cost per
-   run; it is modest by design and the CI gate only requires warm >= cold.
+   with memoized tallies). This ratio isolates what accounting +
+   compilation cost per run; the CI gate only requires warm >= cold.
 3. **Streaming** — out-of-core band streaming GiB/s, serial vs pipelined
    (``prefetch_depth=1``), against a provider whose per-band latency is
    calibrated to the band compute time — the regime where double
    buffering pays, exactly as on a real storage-bound stream.
 4. **Fused backend** — full compute ops/sec with the fused batched
    kernels (warm cache, ``fast=True, fused=True``) vs the cold counted
-   path and the per-task replay path, per algorithm. This is the ratio
+   path, per algorithm. This is the ratio
    the vectorized backend is for; the gate requires fused warm >= 3x
    counted for 2R1W and >= 2.5x for 1R1W at the standard 256x256 case
    (margins below the locally measured 4-5x / 3.3x to absorb runner
@@ -167,7 +166,7 @@ FUSED_GATES = {"2R1W": 3.0, "1R1W": 2.5}
 
 
 def bench_fused(n: int, params: MachineParams, reps: int) -> Dict[str, object]:
-    """Full-compute ops/sec per algorithm: counted vs fused vs replay."""
+    """Full-compute ops/sec per algorithm: counted vs fused."""
     a = random_matrix(n, seed=0)
     out: Dict[str, object] = {}
     for name in FUSED_GATES:
@@ -181,28 +180,18 @@ def bench_fused(n: int, params: MachineParams, reps: int) -> Dict[str, object]:
         def fused() -> None:
             algo.compute(a, params, engine=warm_engine, fast=True, fused=True)
 
-        def replay() -> None:
-            algo.compute(a, params, engine=warm_engine, fast=True, fused=False)
-
         # Three paired rounds, keep the round with the best fused/counted
         # ratio: a single 5-rep sample is at the mercy of scheduler noise
         # on small hosts, and independently-sampled sides can pair a lucky
         # counted rate with an unlucky fused one. Measuring the sides
         # back-to-back within a round makes slow-machine windows cancel
         # out of the ratio the gate checks.
-        rounds = [
-            (_rate(cold, reps), _rate(fused, reps * 3), _rate(replay, reps * 3))
-            for _ in range(3)
-        ]
-        cold_rate, fused_rate, replay_rate = max(
-            rounds, key=lambda r: r[1] / r[0]
-        )
+        rounds = [(_rate(cold, reps), _rate(fused, reps * 3)) for _ in range(3)]
+        cold_rate, fused_rate = max(rounds, key=lambda r: r[1] / r[0])
         out[name] = {
             "counted_ops_per_sec": cold_rate,
-            "replay_ops_per_sec": replay_rate,
             "fused_ops_per_sec": fused_rate,
             "fused_over_counted": fused_rate / cold_rate,
-            "fused_over_replay": fused_rate / replay_rate,
         }
     return out
 
@@ -552,7 +541,6 @@ def summary_text(results: Dict[str, object]) -> str:
         ]
         + [
             f"fused {name}:       counted {sec['counted_ops_per_sec']:.2f} ops/s, "
-            f"replay {sec['replay_ops_per_sec']:.2f} ops/s, "
             f"fused {sec['fused_ops_per_sec']:.2f} ops/s "
             f"({sec['fused_over_counted']:.2f}x counted)"
             for name, sec in results["fused"].items()

@@ -18,9 +18,9 @@ observation into a planner:
    corruption-tolerant JSON sidecar next to the other caches
    (:mod:`~repro.autotune.sidecar`), so choices survive restarts.
 
-Entry points: ``make_algorithm("auto")`` /
-``BatchSession(algorithm="auto")`` / ``TiledSATStore`` ingest with an
-auto session all route through :class:`~repro.autotune.auto.AutoSAT`;
+Entry points: ``make_algorithm("auto")`` and
+``BatchSession(algorithm="auto")`` route through
+:class:`~repro.autotune.auto.AutoSAT`;
 ``python -m repro autotune --sweep`` prints the live decision table
 reproducing Table II's crossover; ``python -m repro stats`` surfaces the
 planner via ``engine.stats()["autotune"]``.

@@ -56,9 +56,9 @@ def cmd_demo(args) -> int:
     """Run one SAT on the simulated HMM and verify it against numpy.
 
     ``--repeat`` reruns the same shape to exercise the plan cache;
-    ``--fast`` uses the vectorized counter-replay path for the warm runs,
-    and ``--fused`` picks that path's backend (batched numpy or the
-    compiled native megakernels).
+    ``--fast`` runs the warm repeats on the fast path (memoized traffic
+    tallies), and ``--fused`` picks that path's backend (batched numpy or
+    the compiled native megakernels).
     """
     from .machine.engine import ExecutionEngine, PlanCache
 
@@ -68,9 +68,10 @@ def cmd_demo(args) -> int:
     result = algo.compute(a, _params(args), engine=engine)
     expected = np.cumsum(np.cumsum(a, axis=0), axis=1)
     ok = np.allclose(result.sat, expected)
-    fused = args.fused if args.fused is not None else True
     for _ in range(max(0, args.repeat - 1)):
-        warm = algo.compute(a, _params(args), engine=engine, fast=args.fast, fused=fused)
+        warm = algo.compute(
+            a, _params(args), engine=engine, fast=args.fast, fused=args.fused
+        )
         ok = ok and np.array_equal(warm.sat, result.sat)
     print(result.summary())
     if args.repeat > 1:
@@ -84,7 +85,7 @@ def cmd_demo(args) -> int:
             )
         print(
             f"plan cache over {args.repeat} runs"
-            f"{' (fast replay)' if args.fast else ''}: "
+            f"{' (fast path)' if args.fast else ''}: "
             f"{stats['compiles']} compile(s), {stats['hits']} hit(s), "
             f"warm runs bit-identical: {'OK' if ok else 'MISMATCH'}"
             f"{backend_note}"
@@ -303,9 +304,9 @@ def cmd_stats(args) -> int:
     """Run an instrumented workload and export the observability state.
 
     Exercises every instrumented layer with observability forced on for
-    the run — a cold compile + counted execution, warm fused replays, one
+    the run — a cold compile + counted execution, warm fused runs, one
     warm native-backend run (so compiled-kernel accounting, or the
-    fallback counter on hosts without a JIT toolchain, appears in the
+    fallback counter on hosts without a C toolchain, appears in the
     export), a serial :class:`~repro.sat.batch.BatchSession` batch, and a
     prefetched band stream — then prints the collected metrics as JSON
     and/or Prometheus text exposition. Also runs the
@@ -487,26 +488,6 @@ def cmd_autotune(args) -> int:
     return 0 if (crossed and matched) else 1
 
 
-def _serving_session(args):
-    """An optional BatchSession for ingest offload, validated up front.
-
-    A typo'd algorithm name must fail before any store or pool is built,
-    with the valid choices (and their kwargs) in the message — that is
-    what :func:`repro.sat.registry.describe` is for.
-    """
-    from .sat.registry import describe
-
-    if not getattr(args, "session_algorithm", None):
-        return None
-    info = describe(args.session_algorithm)[args.session_algorithm]
-    from .sat.batch import BatchSession
-
-    kwargs = {"p": args.p} if "p" in info["kwargs"] else {}
-    return BatchSession(
-        args.session_algorithm, _params(args), workers=args.workers, **kwargs
-    )
-
-
 def _cmd_serve_cluster(args) -> int:
     """Serve through the sharded worker cluster instead of one process.
 
@@ -585,7 +566,6 @@ def cmd_serve(args) -> int:
 
     if args.cluster_workers > 0:
         return _cmd_serve_cluster(args)
-    session = _serving_session(args)
     rng = np.random.default_rng(args.seed)
     store = TiledSATStore(
         capacity_bytes=args.capacity_mb * 1024 * 1024, default_tile=args.tile
@@ -599,7 +579,7 @@ def cmd_serve(args) -> int:
         ok = True
         async with SATServer(
             store, max_queue=args.queue, max_batch=args.max_batch,
-            session=session, adaptive=args.adaptive,
+            adaptive=args.adaptive,
         ) as server:
             for name, m in matrices.items():
                 await server.ingest(name, m, tile=args.tile, track_squares=True)
@@ -637,11 +617,7 @@ def cmd_serve(args) -> int:
             )
         return ok, incremental, recompute, stats, knobs
 
-    try:
-        ok, incremental, recompute, server_stats, knobs = asyncio.run(drive())
-    finally:
-        if session is not None:
-            session.close()
+    ok, incremental, recompute, server_stats, knobs = asyncio.run(drive())
     s = store.stats()
     print(
         f"served {args.datasets} dataset(s) of {args.n}x{args.n} "
@@ -659,7 +635,6 @@ def cmd_serve(args) -> int:
         f"{server_stats['completed']} completed, {server_stats['shed']} shed, "
         f"{server_stats['batches']} executor batches "
         f"(max queue depth {server_stats['max_queue_depth']})"
-        + (f", ingest via BatchSession[{args.session_algorithm}]" if session else "")
     )
     if knobs is not None:
         print(
@@ -729,24 +704,18 @@ def cmd_loadgen(args) -> int:
 
     if args.chaos or args.cluster:
         return _cmd_loadgen_cluster(args)
-    session = _serving_session(args)
-    try:
-        if args.quick:
-            report = run_loadgen(
-                n=128, tile=32, rounds=4, burst=24, max_queue=32,
-                max_batch=16, seed=args.seed, session=session,
-                adaptive=args.adaptive,
-            )
-        else:
-            report = run_loadgen(
-                n=args.n, tile=args.tile, rounds=args.rounds, burst=args.burst,
-                max_queue=args.queue, max_batch=args.max_batch,
-                update_frac=args.update_frac, seed=args.seed, session=session,
-                adaptive=args.adaptive,
-            )
-    finally:
-        if session is not None:
-            session.close()
+    if args.quick:
+        report = run_loadgen(
+            n=128, tile=32, rounds=4, burst=24, max_queue=32,
+            max_batch=16, seed=args.seed, adaptive=args.adaptive,
+        )
+    else:
+        report = run_loadgen(
+            n=args.n, tile=args.tile, rounds=args.rounds, burst=args.burst,
+            max_queue=args.queue, max_batch=args.max_batch,
+            update_frac=args.update_frac, seed=args.seed,
+            adaptive=args.adaptive,
+        )
     print(report.summary())
     if args.adaptive and report.adaptive_stats:
         knobs = report.adaptive_stats
@@ -783,13 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fast", action="store_true",
-        help="use the vectorized counter-replay path for warm repeats",
+        help="run warm repeats on the fast path (memoized traffic tallies)",
     )
     p.add_argument(
-        "--fused", choices=["numpy", "native"], default=None,
-        help="fused backend for --fast warm repeats: batched numpy or "
-        "compiled native megakernels (default: REPRO_FUSED_BACKEND, "
-        "else numpy; native degrades to numpy without a JIT toolchain)",
+        "--fused", choices=["numpy", "native"], default="numpy",
+        help="fused backend for --fast warm repeats: batched numpy "
+        "(default) or compiled native megakernels (native degrades to "
+        "numpy without a C toolchain)",
     )
     _add_machine_args(p)
     p.set_defaults(fn=cmd_demo)
@@ -919,18 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "ceiling's upper bound)",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--session-algorithm", default="",
-            help="offload ingest tile SATs through a BatchSession running "
-                 "this Table II algorithm (validated via the registry)",
-        )
-        p.add_argument("--p", type=float, default=0.5,
-                       help="kR1W mixing parameter for --session-algorithm")
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="BatchSession worker processes for --session-algorithm",
-        )
-        _add_machine_args(p)
 
     p = sub.add_parser("serve", help="in-process tiled SAT serving demo")
     p.add_argument("-n", type=int, default=512, help="dataset side length")

@@ -9,7 +9,7 @@ compiled access plans across invocations):
   including the ``fast=True`` mode that skips per-access accounting by
   replaying memoized per-kernel traffic diffs;
 * :mod:`repro.machine.engine.cache` — the bounded LRU :class:`PlanCache`;
-* :mod:`repro.machine.engine.native` — the JIT/C backend lowering each
+* :mod:`repro.machine.engine.native` — the generated-C backend lowering each
   plan's fused schedule to compiled megakernels (``fused="native"``),
   with the :mod:`~repro.machine.engine.memobj` memory objects deciding
   allocation and layout in the generated code;
@@ -91,11 +91,11 @@ class ExecutionEngine:
         fast: bool = False,
         fused: Union[bool, str] = True,
     ) -> None:
-        """Execute a plan. ``fast=True`` replays memoized traffic tallies;
-        ``fused`` (default on) additionally runs each fast kernel through
-        its batched numpy schedule instead of per-task Python closures —
-        or through compiled native megakernels with ``fused="native"``
-        (see :mod:`repro.machine.engine.native`)."""
+        """Execute a plan. ``fast=True`` replays memoized traffic tallies
+        and runs each fast kernel through its batched numpy schedule
+        (``fused=True`` or ``"numpy"``) or through compiled native
+        megakernels (``fused="native"``, see
+        :mod:`repro.machine.engine.native`)."""
         execute_plan(plan, executor, fast=fast, fused=fused)
 
     def warm_plan(
@@ -112,7 +112,7 @@ class ExecutionEngine:
 
         One counted probe compiles the plan and populates its memoized
         per-kernel traffic tallies; one ``fast`` probe builds the fused
-        schedule (and, with ``fused="native"``, lowers + JIT-compiles the
+        schedule (and, with ``fused="native"``, lowers and compiles the
         megakernels) so the *first measured* request at this shape already
         runs the hot path. The probe is all-ones, not zeros: the one
         value-sensitive micro-optimization in the block code skips the

@@ -2,9 +2,9 @@
 
 The access pattern of every SAT kernel on the HMM is *data-oblivious*
 (Sections IV-VI of the paper): which words a kernel touches is a pure
-function of the shape, never of the matrix contents. The fast replay path
-of PR 2 already exploits this for *accounting* (per-kernel traffic tallies
-are exact across runs); this module exploits it for *execution*. Instead
+function of the shape, never of the matrix contents. The fast path's
+memoized per-kernel traffic tallies already exploit this for *accounting*
+(they are exact across runs); this module exploits it for *execution*. Instead
 of running a kernel's block tasks one Python closure at a time, the task
 factory that built the kernel attaches a :class:`FusedKernelSpec`
 describing the whole task group declaratively, and the engine's fused

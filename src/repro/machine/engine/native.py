@@ -1,4 +1,4 @@
-"""Native backend: lower fused kernel schedules to JIT/C megakernels.
+"""Native backend: lower fused kernel schedules to generated-C megakernels.
 
 The numpy fused backend (:mod:`repro.machine.engine.fused`) executes each
 kernel as a handful of *batched numpy calls* — stacked whole-block
@@ -14,34 +14,28 @@ result — one loop nest, no numpy round trips (the software-systolic
 argument of Chen et al., arXiv:1907.06154, applied to the simulator's
 own execution).
 
-Two JIT toolchains are supported, resolved in this order (override with
-``REPRO_NATIVE_JIT``):
+The C source is *generated in this module* from the specs' parameters,
+with allocation/layout/access lowering delegated to the SYS_ATL-style
+memory objects of :mod:`repro.machine.engine.memobj`, compiled once with
+the host C compiler (OpenMP when available), cached on disk keyed by
+source hash (``REPRO_NATIVE_CACHE_DIR``) and loaded through cffi.
+``REPRO_NATIVE_JIT=none`` treats the host as having no toolchain.
 
-* **numba** — ``@njit(parallel=True, cache=True)`` kernels
-  (:mod:`repro.machine.engine.native_numba`), the primary target where
-  numba is installed;
-* **cffi/C** — C source *generated in this module* from the specs'
-  parameters, with allocation/layout/access lowering delegated to the
-  SYS_ATL-style memory objects of :mod:`repro.machine.engine.memobj`,
-  compiled once with the host C compiler (OpenMP when available) and
-  cached on disk keyed by source hash (``REPRO_NATIVE_CACHE_DIR``).
-
-When neither toolchain works the backend degrades gracefully: requesting
-``fused="native"`` falls back to the numpy fused path with a single
-:class:`NativeBackendUnavailable` warning and an obs counter — outputs
-are bit-identical either way, only the speed differs.
+When the module cannot be built the backend degrades gracefully:
+requesting ``fused="native"`` falls back to the numpy fused path with a
+single :class:`NativeBackendUnavailable` warning and an obs counter —
+outputs are bit-identical either way, only the speed differs.
 
 Bit-exactness
 -------------
 The native kernels inherit the fused backend's contract: leave global
-memory in the *exact* state the per-task path leaves it in. Cumulative
+memory in the *exact* state the counted path leaves it in. Cumulative
 sums are sequential in every backend, so they agree trivially; numpy
 *reductions* do not — ``np.sum`` over a contiguous last axis uses
 pairwise summation (eight-accumulator base case, blocksize 128), while
-reductions over outer axes accumulate sequentially. The native kernels
-replicate both orders exactly (:func:`~repro.machine.engine.native_numba
-.pairwise_spec` documents the algorithm; the C generator emits the same
-routine), and a one-time **self-check probe** verifies the whole family:
+reductions over outer axes accumulate sequentially. The generated
+kernels replicate both orders exactly (``repro_pairwise`` in the C
+prelude), and a one-time **self-check probe** verifies the whole family:
 on first use the backend computes all six algorithms on integer *and*
 float inputs and compares against the numpy fused path bit-for-bit,
 permanently disabling itself (with a warning) on any mismatch rather
@@ -66,13 +60,11 @@ from ...obs import runtime as obs
 from .memobj import GlobalRowMajor, tile_memory
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "JIT_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "NativeBackendUnavailable",
     "NativeGroup",
     "build_native_schedule",
-    "default_fused_backend",
     "ensure_backend",
     "generate_c_source",
     "native_available",
@@ -82,17 +74,12 @@ __all__ = [
     "use_one_thread",
 ]
 
-#: Selects the backend ``fused=True`` means: ``numpy`` (default) or
-#: ``native``.
-BACKEND_ENV_VAR = "REPRO_FUSED_BACKEND"
-
-#: Restricts which JIT toolchain the native backend may use:
-#: ``auto`` (default: numba, then cffi), ``numba``, ``cffi``, or ``none``
-#: (treat the host as having no toolchain — the fallback-path switch).
+#: ``auto`` (default) builds the generated C; ``none`` treats the host as
+#: having no toolchain — the fallback-path switch.
 JIT_ENV_VAR = "REPRO_NATIVE_JIT"
 
-#: Directory for the compiled shared-object cache (cffi path). Defaults
-#: to ``~/.cache/repro-native``; falls back to a temp dir.
+#: Directory for the compiled shared-object cache. Defaults to
+#: ``~/.cache/repro-native``.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
 
@@ -526,7 +513,7 @@ void repro_triangle_fix(double *a, long long ld_a, const double *ca,
 
 
 # --------------------------------------------------------------------------- #
-# Compilation and loading (cffi path)
+# Compilation and loading
 # --------------------------------------------------------------------------- #
 
 
@@ -631,7 +618,7 @@ class CffiBackend:
             raise TypeError("native kernels require C-contiguous int64 indices")
         return self._ffi.cast("long long *", self._ffi.from_buffer(arr))
 
-    # -- entry points (shared signature contract with the numba backend) ----
+    # -- entry points -------------------------------------------------------
 
     def set_threads(self, count):
         self._lib.repro_set_threads(count)
@@ -689,15 +676,6 @@ class CffiBackend:
         )
 
 
-def _load_numba_backend():
-    from . import native_numba
-
-    with obs.span("native_compile", toolchain="numba"):
-        backend = native_numba.build()
-    obs.inc("native_module_loads_total", source="numba")
-    return backend
-
-
 # --------------------------------------------------------------------------- #
 # Backend state: resolution, probe, stats
 # --------------------------------------------------------------------------- #
@@ -730,32 +708,17 @@ def reset() -> None:
         _STATE = _State()
 
 
-def _jit_preference() -> str:
-    raw = os.environ.get(JIT_ENV_VAR, "auto").strip().lower() or "auto"
-    if raw not in {"auto", "numba", "cffi", "none"}:
-        raise ConfigurationError(
-            f"{JIT_ENV_VAR}={raw!r} must be auto, numba, cffi, or none"
-        )
-    return raw
-
-
 def _build_backend() -> Tuple[Optional[object], Optional[str]]:
-    """Try the permitted toolchains in order; return (backend, failure)."""
-    preference = _jit_preference()
-    if preference == "none":
+    """Build (or load) the generated-C module; return (backend, failure)."""
+    raw = os.environ.get(JIT_ENV_VAR, "auto").strip().lower() or "auto"
+    if raw not in {"auto", "none"}:
+        raise ConfigurationError(f"{JIT_ENV_VAR}={raw!r} must be auto or none")
+    if raw == "none":
         return None, f"{JIT_ENV_VAR}=none disables the native backend"
-    errors = []
-    if preference in ("auto", "numba"):
-        try:
-            return _load_numba_backend(), None
-        except Exception as exc:  # noqa: BLE001 — any JIT failure degrades
-            errors.append(f"numba: {exc}")
-    if preference in ("auto", "cffi"):
-        try:
-            return CffiBackend.load(), None
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"cffi: {exc}")
-    return None, "; ".join(errors) or "no JIT toolchain available"
+    try:
+        return CffiBackend.load(), None
+    except Exception as exc:  # noqa: BLE001 — any build failure degrades
+        return None, f"cffi: {exc}"
 
 
 def _probe(backend) -> Optional[str]:
@@ -786,7 +749,9 @@ def _probe(backend) -> Optional[str]:
             engine = ExecutionEngine(cache=PlanCache())
             try:
                 algo.compute(a, params, engine=engine)  # populate tallies
-                fused = algo.compute(a, params, engine=engine, fast=True)
+                fused = algo.compute(
+                    a, params, engine=engine, fast=True, fused="numpy"
+                )
                 native = algo.compute(
                     a, params, engine=engine, fast=True, fused="native"
                 )
@@ -881,40 +846,24 @@ def native_stats() -> Dict[str, object]:
 # Backend selection for SATAlgorithm.compute(fused=...)
 # --------------------------------------------------------------------------- #
 
-#: Values ``compute(fused=...)`` accepts beyond the booleans.
+#: Values ``compute(fused=...)`` accepts besides ``True``.
 FUSED_BACKENDS = ("numpy", "native")
 
 
-def default_fused_backend() -> str:
-    """Backend ``fused=True`` selects: ``REPRO_FUSED_BACKEND`` or numpy."""
-    raw = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not raw:
-        return "numpy"
-    if raw not in FUSED_BACKENDS:
-        raise ConfigurationError(
-            f"{BACKEND_ENV_VAR}={raw!r} must be one of {FUSED_BACKENDS}"
-        )
-    return raw
+def resolve_fused(fused) -> str:
+    """Normalize a ``fused`` argument to ``"numpy"`` or ``"native"``.
 
-
-def resolve_fused(fused) -> object:
-    """Normalize a ``fused`` argument to ``False``, ``"numpy"``, or ``"native"``.
-
-    ``True`` defers to :func:`default_fused_backend` so deployments can
-    flip the default without code changes; explicit strings always win.
+    ``True`` means ``"numpy"``; strings are case-insensitive.
     """
-    if fused is False:
-        return False
     if fused is True:
-        return default_fused_backend()
+        return "numpy"
     if isinstance(fused, str):
         backend = fused.strip().lower()
         if backend in FUSED_BACKENDS:
             return backend
-        raise ConfigurationError(
-            f"fused={fused!r} must be a bool or one of {FUSED_BACKENDS}"
-        )
-    raise ConfigurationError(f"fused={fused!r} must be a bool or str")
+    raise ConfigurationError(
+        f"fused={fused!r} must be True or one of {FUSED_BACKENDS}"
+    )
 
 
 # --------------------------------------------------------------------------- #

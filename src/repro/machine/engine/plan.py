@@ -294,49 +294,43 @@ def execute_plan(
     block shuffle — and each kernel's measured traffic diff is memoized
     into the plan. With ``fast=True``, kernels whose diffs are already
     memoized skip per-access charging and apply the recorded tally
-    wholesale: by default (``fused=True``) through
-    :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel_fused`,
-    which executes each kernel's task groups as batched numpy
-    gather/compute/scatter over the plan's precomputed block coordinates;
-    with ``fused="native"`` those groups run as compiled native
-    megakernels instead (:mod:`~repro.machine.engine.native`; degrades
-    to the numpy schedule, bit-identically, when no JIT toolchain is
-    available); with ``fused=False`` through the per-task
-    :meth:`run_kernel_replay` path. Unmeasured kernels fall back to the
-    counted path, so the very first fast run both works and completes
-    the plan's accounting.
+    wholesale through
+    :meth:`~repro.machine.macro.executor.HMMExecutor.run_kernel_fused`:
+    by default (``fused=True`` or ``"numpy"``) each kernel's task groups
+    run as batched numpy gather/compute/scatter over the plan's
+    precomputed block coordinates; with ``fused="native"`` those groups
+    run as compiled native megakernels instead
+    (:mod:`~repro.machine.engine.native`; degrades to the numpy schedule,
+    bit-identically, when the module cannot be built). Unmeasured kernels
+    fall back to the counted path, so the very first fast run both works
+    and completes the plan's accounting.
     """
     from .native import ensure_backend, resolve_fused
 
     backend = None
     fused = resolve_fused(fused)
-    use_replay = (
+    use_fused = (
         fast and executor.injector is None and executor.max_task_retries == 0
     )
-    if use_replay and fused == "native":
+    if use_fused and fused == "native":
         backend = ensure_backend()  # None -> numpy fused fallback (warned)
     for op in plan.ops:
         if isinstance(op, AllocOp):
             executor.gm.alloc(op.name, op.shape, dtype=np.dtype(op.dtype))
         elif isinstance(op, FreeOp):
             executor.gm.free(op.name)
-        else:
-            if use_replay and op.counters is not None:
-                if backend is not None:
-                    executor.run_kernel_fused(
-                        op.native_schedule(backend), len(op.tasks), op.counters,
-                        label=op.label, mode="native",
-                    )
-                elif fused:
-                    executor.run_kernel_fused(
-                        op.fused_schedule(), len(op.tasks), op.counters,
-                        label=op.label,
-                    )
-                else:
-                    executor.run_kernel_replay(
-                        op.tasks, op.counters, label=op.label
-                    )
+        elif use_fused and op.counters is not None:
+            if backend is not None:
+                executor.run_kernel_fused(
+                    op.native_schedule(backend), len(op.tasks), op.counters,
+                    label=op.label, mode="native",
+                )
             else:
-                trace = executor.run_kernel(op.tasks, label=op.label)
-                if op.counters is None:
-                    op.counters = trace.counters.copy()
+                executor.run_kernel_fused(
+                    op.fused_schedule(), len(op.tasks), op.counters,
+                    label=op.label,
+                )
+        else:
+            trace = executor.run_kernel(op.tasks, label=op.label)
+            if op.counters is None:
+                op.counters = trace.counters.copy()

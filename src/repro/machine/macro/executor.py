@@ -204,55 +204,6 @@ class HMMExecutor:
             )
         return trace
 
-    def run_kernel_replay(
-        self,
-        tasks: Sequence[BlockTask],
-        counters: AccessCounters,
-        label: str = "",
-    ) -> KernelTrace:
-        """Fast-path launch: run the tasks, replay the kernel's accounting.
-
-        ``counters`` must be the per-kernel traffic diff measured by a
-        prior :meth:`run_kernel` of the *same* kernel at the same machine
-        shape (access patterns on the HMM are data-independent, so the
-        tally is exact, not an estimate). Data still moves through global
-        memory — only the per-access charging arithmetic, the write-log
-        machinery, the retry frame, and the adversarial block shuffle are
-        skipped. Requires a fault-free configuration: no injector and no
-        retry budget.
-        """
-        if self.injector is not None or self.max_task_retries > 0:
-            raise ValueError(
-                "run_kernel_replay requires a fault-free executor "
-                "(no injector, max_task_retries=0); use run_kernel"
-            )
-        tasks = list(tasks)
-        if self.counters.kernels_launched > 0:
-            self.counters.barriers += 1
-        self.counters.kernels_launched += 1
-        kernel_name = label or f"kernel{self.counters.kernels_launched - 1}"
-        scratch = AccessCounters()
-        shared = SharedAllocator(self.params, scratch)
-        recording = obs.is_enabled()
-        t0 = time.perf_counter() if recording else 0.0
-        self.gm.counting = False
-        try:
-            num_blocks = len(tasks)
-            for i, task in enumerate(tasks):
-                task(BlockContext(self.gm, shared, self.params, i, num_blocks))
-                shared.reset_all()  # asynchronous-HMM DMM reset
-        finally:
-            self.gm.counting = True
-        diff = counters.copy()
-        self.counters.add(diff)
-        trace = KernelTrace(label=kernel_name, blocks=len(tasks), counters=diff)
-        self.traces.append(trace)
-        if recording:
-            obs.record_kernel(
-                kernel_name, "replay", len(tasks), time.perf_counter() - t0, diff
-            )
-        return trace
-
     def run_kernel_fused(
         self,
         schedule: Sequence,
@@ -268,17 +219,22 @@ class HMMExecutor:
         a mix of fused spec objects (recognized by their ``fused_spec``
         duck-typing marker; each stands for a whole task group and applies
         it as batched numpy gather/compute/scatter against the raw buffer
-        arrays) and leftover plain block tasks, executed per task exactly
-        as :meth:`run_kernel_replay` would. A *native* schedule
+        arrays) and leftover plain block tasks, each run in schedule order
+        with a fresh DMM (shared memory), as :meth:`run_kernel` runs it but
+        without the block shuffle. A *native* schedule
         (:meth:`~repro.machine.engine.plan.KernelPlan.native_schedule`)
         runs through here unchanged — its groups duck-type the same
         marker but dispatch into compiled megakernels; pass
         ``mode="native"`` so the observability stream tags the kernel
-        with the backend that actually executed it. The accounting
-        contract is the same as replay: ``counters`` is the kernel's
-        memoized traffic diff, applied wholesale; per-access charging is
-        off for the duration. Requires a fault-free configuration (no
-        injector, no retry budget).
+        with the backend that actually executed it.
+
+        ``counters`` must be the per-kernel traffic diff measured by a
+        prior :meth:`run_kernel` of the *same* kernel at the same machine
+        shape (access patterns on the HMM are data-independent, so the
+        tally is exact, not an estimate); it is applied wholesale, with
+        the launch's barrier, and per-access charging is off for the
+        duration. Requires a fault-free configuration (no injector, no
+        retry budget).
         """
         if self.injector is not None or self.max_task_retries > 0:
             raise ValueError(

@@ -19,7 +19,7 @@ package provides one, in three pieces:
   uses instrumented machinery).
 
 Instrumented layers: :class:`~repro.machine.macro.executor.HMMExecutor`
-(per-kernel spans/counters on the counted, replay, and fused paths),
+(per-kernel spans/counters on the counted, fused, and native paths),
 :class:`~repro.machine.engine.ExecutionEngine` (plan-compile spans),
 :class:`~repro.machine.engine.cache.PlanCache` (hit/miss/eviction
 counters), the fused schedule builder, :class:`~repro.sat.batch

@@ -5,7 +5,7 @@ counted quantities — coalesced element accesses ``C``, stride operations
 ``S``, and barrier steps ``B`` — and the analysis layer carries *exact*
 per-algorithm predictors (:func:`repro.analysis.formulas.predicted_counters`)
 that mirror each implementation's control flow arithmetically. Three PRs
-of performance work (plan cache, counter replay, fused kernels) all lean
+of performance work (plan cache, memoized tallies, fused kernels) all lean
 on the claim that the fast paths preserve that accounting bit-for-bit;
 :class:`CostAudit` makes the claim *runtime-checkable* instead of only
 test-asserted: feed it any :class:`~repro.sat.base.SATResult` and it
@@ -169,7 +169,7 @@ class CostAudit:
         """Run and audit every algorithm at size ``n``; returns the records.
 
         ``compute_kwargs`` forward to ``compute`` (e.g. ``fast=True`` with
-        a shared engine to audit the replay path's accounting rather than
+        a shared engine to audit the fused path's accounting rather than
         the counted path's).
         """
         from ..machine.params import MachineParams

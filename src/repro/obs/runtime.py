@@ -200,10 +200,11 @@ def record_kernel(label: str, mode: str, blocks: int, duration_s: float,
     """Record one kernel launch (executor hot path; call only when enabled).
 
     ``mode`` distinguishes the three execution paths — ``counted``
-    (per-access charging), ``replay`` (memoized tallies, per-task), and
-    ``fused`` (memoized tallies, batched numpy). ``counters`` is the
-    kernel's :class:`~repro.machine.macro.counters.AccessCounters` traffic
-    diff (duck-typed; this module cannot import the machine layer).
+    (per-access charging), ``fused`` (memoized tallies, batched numpy)
+    and ``native`` (memoized tallies, compiled megakernels). ``counters``
+    is the kernel's :class:`~repro.machine.macro.counters.AccessCounters`
+    traffic diff (duck-typed; this module cannot import the machine
+    layer).
 
     The event is staged, not applied: one tuple append per launch, drained
     into the metric/span stores at the next read. Readers always see a

@@ -159,24 +159,20 @@ class SATAlgorithm(abc.ABC):
             always-cold reference path used by benchmarks and tests.
         fast:
             Execute through the engine's fast path: per-access traffic
-            accounting is replaced by replaying the plan's memoized
+            accounting is replaced by applying the plan's memoized
             per-kernel tallies (exact, because HMM access patterns are
             data-independent; asserted bit-identical in the test suite).
             The first fast run at a new shape transparently runs counted
             to populate those tallies. Requires the engine path.
         fused:
             With ``fast=True``, selects how each kernel's batched
-            schedule executes. ``True`` (default) defers to the
-            ``REPRO_FUSED_BACKEND`` environment variable (``numpy`` when
-            unset); ``"numpy"`` runs the batched numpy schedule
-            (whole-block gather → per-block compute → scatter over the
-            plan's precomputed block coordinates); ``"native"`` runs the
-            same schedule lowered to compiled megakernels
-            (:mod:`repro.machine.engine.native` — Numba or generated C
-            via cffi, bit-identical, degrading to the numpy schedule with
-            a single warning when no JIT toolchain is available);
-            ``fused=False`` selects the per-task replay path (same
-            accounting, useful for isolation).
+            schedule executes. ``True`` (default) and ``"numpy"`` run the
+            batched numpy schedule (whole-block gather → per-block
+            compute → scatter over the plan's precomputed block
+            coordinates); ``"native"`` runs the same schedule lowered to
+            compiled megakernels (:mod:`repro.machine.engine.native` —
+            generated C, bit-identical, degrading to the numpy schedule
+            with a single warning when it cannot be built).
         obs:
             Per-run observability toggle. ``True`` records this run's
             metrics and spans into :mod:`repro.obs` even when the
@@ -224,7 +220,7 @@ class SATAlgorithm(abc.ABC):
             if fast and plan is not None:
                 # Resolve the backend now so the observability mode tag
                 # names the path that will actually execute: a "native"
-                # request on a host without a JIT toolchain runs (and is
+                # request on a host without a C toolchain runs (and is
                 # recorded as) the numpy fused path.
                 from ..machine.engine.native import ensure_backend, resolve_fused
 
@@ -237,10 +233,8 @@ class SATAlgorithm(abc.ABC):
                 mode = "counted"
             elif fused == "native":
                 mode = "native"
-            elif fused:
-                mode = "fused"
             else:
-                mode = "replay"
+                mode = "fused"
             # The one copy of the input: converted, C-ordered, and owned by
             # the executor from here on.
             executor.gm.adopt(

@@ -17,8 +17,7 @@ what they touch, and a front end that degrades predictably under load.
   rectangle);
 * :mod:`~repro.service.server` — :class:`SATServer`: asyncio scheduler
   with bounded admission (:class:`~repro.errors.Overloaded` shedding),
-  FIFO micro-batching, per-request deadlines, graceful drain, optional
-  :class:`~repro.sat.batch.BatchSession` ingest offload, and
+  FIFO micro-batching, per-request deadlines, graceful drain, and
   :mod:`repro.obs` instrumentation;
 * :mod:`~repro.service.adaptive` — :class:`AdaptiveController`: the
   closed-loop controller behind ``SATServer(adaptive=...)``, retuning

@@ -106,14 +106,13 @@ def _expected_region_sum(shadow: np.ndarray, rect) -> float:
 
 async def _drive(report: LoadgenReport, *, n, tile, rounds, burst, max_queue,
                  max_batch, update_frac, seed, overload, deadline_volley,
-                 session, adaptive=None) -> None:
+                 adaptive=None) -> None:
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-50, 50, size=(n, n)).astype(np.float64)
     shadow = matrix.copy()
     store = TiledSATStore(default_tile=tile)
     async with SATServer(
-        store, max_queue=max_queue, max_batch=max_batch, session=session,
-        adaptive=adaptive,
+        store, max_queue=max_queue, max_batch=max_batch, adaptive=adaptive,
     ) as server:
         await server.ingest("img", matrix, tile=tile, track_squares=True)
 
@@ -495,11 +494,9 @@ def run_loadgen(*, n: int = 256, tile: int = 64, rounds: int = 8,
                 burst: int = 48, max_queue: int = 64, max_batch: int = 32,
                 update_frac: float = 0.25, seed: int = 0,
                 overload: bool = True, deadline_volley: int = 8,
-                session=None, adaptive=None) -> LoadgenReport:
+                adaptive=None) -> LoadgenReport:
     """Run the seeded load-generation workload; see the module docstring.
 
-    A ``session`` (a :class:`~repro.sat.batch.BatchSession`) routes the
-    initial ingest's tile SATs through the multi-core HMM backend.
     ``adaptive`` is forwarded to :class:`SATServer` (True, a
     ``ControllerConfig``, or a ready controller) to serve the same
     oracle-verified workload with closed-loop micro-batching.
@@ -509,7 +506,7 @@ def run_loadgen(*, n: int = 256, tile: int = 64, rounds: int = 8,
         report, n=n, tile=tile, rounds=rounds, burst=burst,
         max_queue=max_queue, max_batch=max_batch, update_frac=update_frac,
         seed=seed, overload=overload, deadline_volley=deadline_volley,
-        session=session, adaptive=adaptive,
+        adaptive=adaptive,
     ))
     return report
 

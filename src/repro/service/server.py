@@ -22,10 +22,9 @@
 * **graceful drain** — :meth:`drain` stops admission (late submits shed
   as ``Overloaded``) and runs the queue dry before stopping the
   scheduler; nothing already admitted is lost;
-* **compute offload** — ingest tile SATs can be computed through the
-  multi-core :class:`~repro.sat.batch.BatchSession` (tiles are exactly a
-  same-shape batch), and any blocking compute runs in a worker thread so
-  the event loop keeps admitting and shedding;
+* **compute offload** — blocking work (an ingest's tile build, cluster
+  router calls) runs in a worker thread so the event loop keeps admitting
+  and shedding;
 * **observability** — queue-depth gauge, per-kind latency histograms,
   shed/deadline counters, and update/query spans through
   :mod:`repro.obs`.
@@ -49,7 +48,7 @@ from ..errors import ConfigurationError, DeadlineExceeded, DrainTimeout, Overloa
 from ..obs import runtime as obs
 from . import queries as q
 from .adaptive import AdaptiveController, ControllerConfig
-from .store import TiledSATStore, TileSATFn
+from .store import TiledSATStore
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, no import cycle at runtime
     from .router import ShardRouter
@@ -134,7 +133,6 @@ class SATServer:
         *,
         max_queue: int = 256,
         max_batch: int = 64,
-        session=None,
         clock: Callable[[], float] = time.monotonic,
         drain_timeout: Optional[float] = None,
         router: Optional["ShardRouter"] = None,
@@ -195,7 +193,6 @@ class SATServer:
                 f"adaptive must be True, a ControllerConfig, or an "
                 f"AdaptiveController, got {adaptive!r}"
             )
-        self.session = session  # optional BatchSession for ingest offload
         self.clock = clock
         self.drain_timeout = drain_timeout
         self.stats = ServerStats()
@@ -596,14 +593,11 @@ class SATServer:
         if kind == "ingest":
             p = request.payload
             with obs.span("serving_ingest", dataset=request.dataset):
-                tile_sats = self._session_tile_sats()
-                # Decomposition + folding is blocking numpy work (and may
-                # fan out through the BatchSession's process pool); keep
-                # the event loop free to admit and shed meanwhile.
+                # Decomposition + folding is blocking numpy work; keep the
+                # event loop free to admit and shed meanwhile.
                 ds = await asyncio.to_thread(
                     self.store.put, request.dataset, p["matrix"],
                     tile=p["tile"], track_squares=p["track_squares"],
-                    tile_sats=tile_sats,
                 )
             return [ds.shape]
         raise ConfigurationError(f"unknown request kind {kind!r}")
@@ -659,17 +653,3 @@ class SATServer:
             f"request kind {kind!r} is not servable through the cluster "
             f"router; serve it from a local TiledSATStore"
         )
-
-    def _session_tile_sats(self) -> Optional[TileSATFn]:
-        if self.session is None:
-            return None
-        session = self.session
-
-        def tile_sats(tiles: np.ndarray) -> np.ndarray:
-            # Tiles are a same-shape batch — exactly what BatchSession
-            # serves; its SATs are bit-identical to the numpy chains (the
-            # conformance suite's contract), so offloaded ingest preserves
-            # the store's bit-identity guarantee.
-            return np.stack(list(session.map(list(tiles))))
-
-        return tile_sats

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,64 +57,17 @@ from ..errors import ConfigurationError, ShapeError, UnknownDataset
 from ..machine.engine.fused import prefix_sum_rows, tile_view
 from ..obs import runtime as obs
 
-__all__ = ["Dataset", "TileAggregates", "TileRange", "TiledSATStore",
-           "auto_tile_sats"]
+__all__ = ["Dataset", "TileAggregates", "TileRange", "TiledSATStore"]
 
 #: Default tile side. 64 balances update cost (``O(t^2)``) against
 #: aggregate size (``O((n/t)^2)``) around the n=1K-4K serving sweet spot;
 #: see the tile-size tradeoff appendix in EXPERIMENTS.md.
 DEFAULT_TILE = 64
 
-#: A callable mapping a stacked ``(k, t, t)`` array of tile payloads to
-#: their ``(k, t, t)`` local SATs — the pluggable compute backend used by
-#: the server to offload initial ingest to a
-#: :class:`~repro.sat.batch.BatchSession`. Must be bit-identical to
-#: ``np.cumsum(np.cumsum(tile, 0), 1)`` per tile (the HMM algorithms are,
-#: per the conformance suite). Backends compute in float64, so the store
-#: hands them float64 datasets only and builds every other dtype with
-#: the numpy chains.
-TileSATFn = Callable[[np.ndarray], np.ndarray]
-
 
 def _sat_dtype(dtype: np.dtype) -> np.dtype:
     """The dtype a cumsum-built SAT of this input dtype would have."""
     return np.cumsum(np.zeros(1, dtype=dtype)).dtype
-
-
-def auto_tile_sats(params=None, *, planner=None) -> TileSATFn:
-    """A :data:`TileSATFn` backed by the :mod:`repro.autotune` planner.
-
-    Each tile runs through ``algorithm="auto"`` (kind ``serving-ingest``,
-    so ingest latencies pool separately from ad-hoc computes): the
-    planner picks the algorithm per tile shape from the cost model and
-    refines the choice with the measured per-tile latencies as ingest
-    proceeds. Bit-identity to the numpy cumsum is inherited from the
-    delegated algorithms (the conformance contract), so the store's
-    exactness guarantees are unchanged.
-    """
-    from ..autotune.auto import AutoSAT
-
-    algorithm = AutoSAT(planner=planner, kind="serving-ingest")
-
-    def tile_sats(tiles: np.ndarray) -> np.ndarray:
-        tiles = np.asarray(tiles)
-        out = np.empty(tiles.shape, dtype=np.float64)
-        for i in range(tiles.shape[0]):
-            out[i] = algorithm.compute(tiles[i], params).sat
-        return out
-
-    return tile_sats
-
-
-def _resolve_tile_sats(tile_sats) -> Optional[TileSATFn]:
-    """Accept ``"auto"`` anywhere a :data:`TileSATFn` is accepted."""
-    if tile_sats == "auto":
-        return auto_tile_sats()
-    if tile_sats is not None and not callable(tile_sats):
-        raise ConfigurationError(
-            f"tile_sats must be a callable, 'auto', or None, got {tile_sats!r}"
-        )
-    return tile_sats
 
 
 class TileRange:
@@ -194,8 +147,7 @@ class TileAggregates:
         "col_above", "row_left", "tot_col", "corner",
     )
 
-    def __init__(self, matrix: np.ndarray, tile: int,
-                 tile_sats: Optional[TileSATFn] = None):
+    def __init__(self, matrix: np.ndarray, tile: int):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or 0 in matrix.shape:
             raise ShapeError(
@@ -217,15 +169,14 @@ class TileAggregates:
         self.local2d = np.empty_like(self.raw2d)
         self.raw = tile_view(self.raw2d, t)
         self.local = tile_view(self.local2d, t)
-        if not self._backend_sats(0, 0, self.nb_r - 1, self.nb_c - 1, tile_sats):
-            # np.cumsum(np.cumsum(tile, 0), 1)'s additions in its order:
-            # the in-tile column scan as a sweep of whole matrix rows, then
-            # the in-tile row scan as one in-place cumsum along the rows.
-            width = self.nb_c * t
-            prefix_sum_rows(self.raw2d.reshape(self.nb_r, t, width),
-                            out=self.local2d.reshape(self.nb_r, t, width))
-            runs = self.local2d.reshape(self.nb_r * t, self.nb_c, t)
-            np.cumsum(runs, axis=2, out=runs)
+        # np.cumsum(np.cumsum(tile, 0), 1)'s additions in its order: the
+        # in-tile column scan as a sweep of whole matrix rows, then the
+        # in-tile row scan as one in-place cumsum along the rows.
+        width = self.nb_c * t
+        prefix_sum_rows(self.raw2d.reshape(self.nb_r, t, width),
+                        out=self.local2d.reshape(self.nb_r, t, width))
+        runs = self.local2d.reshape(self.nb_r * t, self.nb_c, t)
+        np.cumsum(runs, axis=2, out=runs)
         self.col_above = np.zeros((self.nb_r, self.nb_c, t), dtype=self.dtype)
         self.row_left = np.zeros((self.nb_r, self.nb_c, t), dtype=self.dtype)
         self.tot_col = np.zeros((self.nb_r, self.nb_c), dtype=self.dtype)
@@ -233,23 +184,6 @@ class TileAggregates:
         self._fold_columns(0, 0, self.nb_c - 1)
         self._fold_rows(0, self.nb_r - 1, 0)
         self._fold_corners(0, 0)
-
-    def _backend_sats(self, i0: int, j0: int, i1: int, j1: int,
-                      tile_sats: Optional[TileSATFn]) -> bool:
-        """Build the local SATs of the inclusive tile box through
-        ``tile_sats``; False when the numpy chains must build them.
-
-        Backends compute in float64, so only float64 data may use one. A
-        backend is handed the box's tiles gathered into a contiguous
-        ``(k, t, t)`` stack.
-        """
-        if tile_sats is None or self.dtype != np.float64:
-            return False
-        t = self.t
-        box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
-        flat = tile_sats(box.reshape(-1, t, t))
-        self.local[i0 : i1 + 1, j0 : j1 + 1] = np.asarray(flat).reshape(box.shape)
-        return True
 
     # -- folding (the canonical accumulation chains) -------------------------
     #
@@ -310,8 +244,7 @@ class TileAggregates:
             )
             self.corner[i0 + 1 :, j0:] = np.cumsum(seeded, axis=1)
 
-    def refold(self, i0: int, j0: int, i1: int, j1: int,
-               tile_sats: Optional[TileSATFn] = None) -> None:
+    def refold(self, i0: int, j0: int, i1: int, j1: int) -> None:
         """Recompute dirty tiles' local SATs and downstream aggregates.
 
         Callers patch ``raw`` for tiles in the inclusive tile-index box
@@ -320,14 +253,13 @@ class TileAggregates:
         the box's columns, ``row_left`` right of the box's rows, and the
         corner quadrant — nothing else is touched.
         """
-        if not self._backend_sats(i0, j0, i1, j1, tile_sats):
-            # Into a fresh tile stack, then one write back: scanning down
-            # the box in place would write rows a whole matrix row apart
-            # (slower for the one-tile box of a point update).
-            box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
-            self.local[i0 : i1 + 1, j0 : j1 + 1] = np.cumsum(
-                np.cumsum(box, axis=2), axis=3
-            )
+        # Into a fresh tile stack, then one write back: scanning down the
+        # box in place would write rows a whole matrix row apart (slower
+        # for the one-tile box of a point update).
+        box = self.raw[i0 : i1 + 1, j0 : j1 + 1]
+        self.local[i0 : i1 + 1, j0 : j1 + 1] = np.cumsum(
+            np.cumsum(box, axis=2), axis=3
+        )
         self._fold_columns(i0, j0, j1)
         self._fold_rows(i0, i1, j0)
         self._fold_corners(i0, j0)
@@ -467,25 +399,14 @@ class Dataset:
     ingest can coexist with event-loop queries.
     """
 
-    __slots__ = ("name", "values", "squares", "tile", "lock", "_sat_cache",
-                 "update_tile_sats")
+    __slots__ = ("name", "values", "squares", "tile", "lock", "_sat_cache")
 
     def __init__(self, name: str, matrix: np.ndarray, tile: int = DEFAULT_TILE,
-                 *, track_squares: bool = False,
-                 tile_sats: Optional[TileSATFn] = None,
-                 update_tile_sats: Optional[TileSATFn] = None):
+                 *, track_squares: bool = False):
         matrix = np.asarray(matrix)
         self.name = name
         self.tile = int(tile)
-        #: Optional backend for *update* re-folds. Ingest-time ``tile_sats``
-        #: is deliberately not reused: a server may fan ingest out through a
-        #: process pool where a one-tile update roundtrip would cost more
-        #: than the numpy re-SAT it replaces. Pass ``update_tile_sats`` to
-        #: route the dirty-tile re-SATs of every later update through the
-        #: same (bit-identical) backend — the fault-injection suite uses
-        #: this to prove updates stay exact under seeded transient faults.
-        self.update_tile_sats = _resolve_tile_sats(update_tile_sats)
-        self.values = TileAggregates(matrix, tile, _resolve_tile_sats(tile_sats))
+        self.values = TileAggregates(matrix, tile)
         self.squares = (
             TileAggregates(
                 np.square(matrix.astype(self.values.dtype, copy=False)), tile
@@ -580,17 +501,10 @@ class TiledSATStore:
     # -- admission / lookup --------------------------------------------------
 
     def put(self, name: str, matrix: np.ndarray, *, tile: Optional[int] = None,
-            track_squares: bool = False,
-            tile_sats: Optional[TileSATFn] = None) -> Dataset:
-        """Ingest (or replace) a dataset; may evict LRU datasets to fit.
-
-        ``tile_sats`` may be a backend callable, ``None`` (numpy cumsum),
-        or ``"auto"`` — the :mod:`repro.autotune` planner picks and
-        refines the per-tile algorithm (see :func:`auto_tile_sats`).
-        """
+            track_squares: bool = False) -> Dataset:
+        """Ingest (or replace) a dataset; may evict LRU datasets to fit."""
         ds = Dataset(
-            name, matrix, tile or self.default_tile,
-            track_squares=track_squares, tile_sats=tile_sats,
+            name, matrix, tile or self.default_tile, track_squares=track_squares,
         )
         if ds.nbytes > self.capacity_bytes:
             raise ConfigurationError(

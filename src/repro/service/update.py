@@ -84,8 +84,7 @@ def point_update(ds: Dataset, r: int, c: int, *,
         if value is None:
             value = ds.values.raw[i_tile, j_tile, i, j] + delta
         ds.values.raw[i_tile, j_tile, i, j] = value
-        ds.values.refold(i_tile, j_tile, i_tile, j_tile,
-                         tile_sats=ds.update_tile_sats)
+        ds.values.refold(i_tile, j_tile, i_tile, j_tile)
         if ds.squares is not None:
             ds.squares.raw[i_tile, j_tile, i, j] = np.square(
                 ds.values.raw[i_tile, j_tile, i, j]
@@ -112,7 +111,7 @@ def _apply_region(ds: Dataset, top: int, left: int, block: np.ndarray, *,
         cells=int(block.size),
     ):
         i0, j0, i1, j1 = _patch_raw(ds.values, top, left, block, add=add)
-        ds.values.refold(i0, j0, i1, j1, tile_sats=ds.update_tile_sats)
+        ds.values.refold(i0, j0, i1, j1)
         if ds.squares is not None:
             # Re-square the touched tiles from the updated values so the
             # squares aggregates stay exactly what a fresh build of

@@ -1,14 +1,11 @@
-"""``algorithm="auto"`` end to end: registry, bit-identity, batch, serving.
+"""``algorithm="auto"`` end to end: registry, bit-identity, batch.
 
 The delegation contract: ``auto`` adds no compute of its own, so its SAT
 is bit-for-bit the SAT of the algorithm it picked — which is itself
 bit-for-bit the numpy cumsum chain on the suite's integer-valued inputs
 (the conformance contract). Checked here across the conformance dtypes
-and all three entry points (``SATAlgorithm.compute``, ``BatchSession``,
-``SATServer``/``TiledSATStore`` ingest).
+and both entry points (``SATAlgorithm.compute`` and ``BatchSession``).
 """
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -19,8 +16,6 @@ from repro.machine.engine import ExecutionEngine, PlanCache
 from repro.machine.params import MachineParams
 from repro.sat import BatchSession, sat_batch_list
 from repro.sat.registry import describe, list_algorithms, make_algorithm
-from repro.service.server import SATServer
-from repro.service.store import TiledSATStore, auto_tile_sats
 
 PARAMS = MachineParams(width=8, latency=16)
 
@@ -163,52 +158,3 @@ class TestBatchSession:
         for m, a, b in zip(mats, first, second):
             assert np.array_equal(a, _oracle(m))
             assert np.array_equal(a, b)
-
-
-# --- serving entry point -----------------------------------------------------
-
-
-class TestServingIngest:
-    def test_store_put_accepts_auto(self, rng):
-        matrix = _int_matrix(rng, (32, 32), np.float64)
-        store = TiledSATStore()
-        plain = store.put("plain", matrix, tile=8)
-        auto = store.put("auto", matrix, tile=8, tile_sats="auto")
-        full = _oracle(matrix)
-        assert plain.region_sum(0, 0, 31, 31) == full[-1, -1]
-        assert auto.region_sum(0, 0, 31, 31) == full[-1, -1]
-        assert auto.region_sum(3, 5, 17, 29) == plain.region_sum(3, 5, 17, 29)
-
-    def test_store_rejects_unknown_tile_sats_token(self, rng):
-        with pytest.raises(ConfigurationError, match="auto"):
-            TiledSATStore().put(
-                "d", _int_matrix(rng, (16, 16), np.float64),
-                tile=8, tile_sats="fastest",
-            )
-
-    def test_auto_tile_sats_is_bit_identical_per_tile(self, rng):
-        tiles = np.stack(
-            [_int_matrix(rng, (8, 8), np.float64) for _ in range(5)]
-        )
-        fn = auto_tile_sats(PARAMS, planner=AutotunePlanner(path=None))
-        out = fn(tiles)
-        for tile, sat in zip(tiles, out):
-            assert np.array_equal(sat, _oracle(tile))
-
-    def test_server_ingest_through_auto_session(self, rng):
-        matrix = _int_matrix(rng, (24, 24), np.float64)
-        full = _oracle(matrix)
-
-        async def main():
-            with BatchSession("auto", PARAMS, workers=1) as session:
-                async with SATServer(TiledSATStore(), session=session) as server:
-                    await server.ingest("d", matrix, tile=8)
-                    total = await server.region_sum("d", 0, 0, 23, 23)
-                    inner = await server.region_sum("d", 2, 3, 10, 19)
-            return total.value, inner.value
-
-        total, inner = asyncio.run(main())
-        assert total == full[-1, -1]
-        ref = TiledSATStore()
-        ref.put("d", matrix, tile=8)
-        assert inner == ref.get("d").region_sum(2, 3, 10, 19)

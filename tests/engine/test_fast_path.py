@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine.engine import ExecutionEngine, PlanCache
-from repro.machine.macro.counters import AccessCounters
 from repro.machine.macro.executor import HMMExecutor
 from repro.machine.params import MachineParams
 from repro.sat import ALGORITHM_NAMES, make_algorithm
@@ -28,10 +27,10 @@ def fresh_engine() -> ExecutionEngine:
     "algo", ALL_ALGORITHMS, ids=lambda a: a.display_name if hasattr(a, "display_name") else a.name
 )
 def test_fast_path_matches_reference_exactly(algo, rng):
-    """Fast replay must be bit-identical in outputs AND counters.
+    """The fast path must be bit-identical in outputs AND counters.
 
     The reference is the plan-less counted path (``use_plan_cache=False``);
-    the fast path replays the cached plan with memoized per-kernel
+    the fast path runs the cached plan with memoized per-kernel
     tallies. HMM access patterns are data-independent, so the counters
     must agree *exactly*, not approximately.
     """
@@ -75,28 +74,3 @@ def test_fast_rejects_custom_executors(rng):
     algo = make_algorithm("1R1W")
     with pytest.raises(ConfigurationError):
         algo.compute(a, PARAMS, executor=HMMExecutor(PARAMS), fast=True)
-
-
-def test_replay_refuses_faulty_executors():
-    """The replay path must never absorb fault/retry configuration."""
-    retrying = HMMExecutor(PARAMS, max_task_retries=2)
-    with pytest.raises(ValueError):
-        retrying.run_kernel_replay([lambda ctx: None], AccessCounters())
-
-
-def test_replay_counters_are_applied_wholesale():
-    executor = HMMExecutor(PARAMS)
-    tally = AccessCounters()
-    tally.coalesced_elements = 1234
-    tally.stride_ops = 7
-    tally.blocks_executed = 3
-    trace = executor.run_kernel_replay(
-        [lambda ctx: None, lambda ctx: None, lambda ctx: None], tally, label="k"
-    )
-    assert trace.label == "k"
-    assert executor.counters.coalesced_elements == 1234
-    assert executor.counters.stride_ops == 7
-    assert executor.counters.kernels_launched == 1
-    assert executor.counters.barriers == 0  # first kernel has no barrier
-    executor.run_kernel_replay([lambda ctx: None], AccessCounters(), label="k2")
-    assert executor.counters.barriers == 1

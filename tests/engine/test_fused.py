@@ -5,8 +5,7 @@ schedules (precomputed gather indices -> batched per-block compute ->
 scatter). Because HMM access patterns are data-independent and every
 fused spec reproduces the per-task floating-point operation order
 exactly, outputs, counters, and traces must match the plan-less counted
-reference *bit for bit* — the same contract the per-task replay path
-already honors, now at kernel granularity.
+reference *bit for bit*, at kernel granularity.
 """
 
 import numpy as np
@@ -194,17 +193,6 @@ def test_prefix_sum_rows_out_leaves_its_input_and_matches_cumsum(rng, cols, dtyp
     assert (dst[:, :2] == 7).all() and (dst[:, cols + 2 :] == 7).all()
 
 
-def test_fused_false_selects_per_task_replay(rng):
-    """``fused=False`` still runs the fast path, per-task — same results."""
-    a = rng.integers(0, 50, size=(24, 24)).astype(np.float64)
-    algo = make_algorithm("1R1W")
-    engine = fresh_engine()
-    algo.compute(a, PARAMS, engine=engine)
-    fused = algo.compute(a, PARAMS, engine=engine, fast=True, fused=True)
-    replay = algo.compute(a, PARAMS, engine=engine, fast=True, fused=False)
-    _assert_identical(fused, replay)
-
-
 def test_fusion_actually_engages(rng):
     """Guard against silent fallback: the cached plans must carry fused
     specs covering (nearly) all tasks, not degenerate to per-task lists."""
@@ -227,7 +215,7 @@ def test_fusion_actually_engages(rng):
 
 
 def test_fused_run_refuses_faulty_executors():
-    """Like replay, the fused path must never absorb fault/retry state."""
+    """The fused path must never absorb fault/retry state."""
     retrying = HMMExecutor(PARAMS, max_task_retries=2)
     with pytest.raises(ValueError):
         retrying.run_kernel_fused((), 0, AccessCounters())
@@ -281,3 +269,12 @@ def test_fused_counters_are_applied_wholesale():
     assert executor.counters.coalesced_elements == 640
     assert executor.counters.stride_ops == 5
     assert executor.counters.kernels_launched == 1
+    assert executor.counters.barriers == 0  # first kernel has no barrier
+    ran = []
+    executor.run_kernel_fused(
+        (lambda ctx: ran.append(ctx.block_index),), 1, AccessCounters(),
+        label="k2",
+    )
+    assert ran == [0]  # a plain task in the schedule runs
+    assert executor.counters.barriers == 1
+    assert executor.counters.kernels_launched == 2

@@ -1,21 +1,21 @@
-"""The native JIT/C backend: selection, lowering, fallback, bit-identity.
+"""The native generated-C backend: selection, lowering, fallback, bit-identity.
 
 Three layers under test:
 
-* **selection** — how ``fused=True/False/"numpy"/"native"`` and the
-  ``REPRO_FUSED_BACKEND`` / ``REPRO_NATIVE_JIT`` environment variables
-  resolve to an execution path, including the graceful-degradation
-  contract: on a host without any JIT toolchain, ``fused="native"``
-  must run the numpy fused path bit-identically, warn exactly once per
-  process, and count the fallback in the observability registry;
+* **selection** — how ``fused=True/"numpy"/"native"`` and the
+  ``REPRO_NATIVE_JIT`` environment variable resolve to an execution
+  path, including the graceful-degradation contract: on a host without
+  a C toolchain, ``fused="native"`` must run the numpy fused path
+  bit-identically, warn exactly once per process, and count the
+  fallback in the observability registry;
 * **lowering** — fused specs become :class:`NativeGroup` bindings, the
   per-plan native schedule is cached like the fused schedule, and
   unknown specs keep their numpy execution (partial lowering stays
   correct);
-* **execution** — where a toolchain exists (cffi + cc in this image,
-  numba in the CI native-backend job), the compiled kernels must be
-  bit-identical to the counted reference, and the individual kernels
-  must match the numpy operations they lower.
+* **execution** — where a toolchain exists (a C compiler and cffi), the
+  compiled kernels must be bit-identical to the counted reference, the
+  individual kernels must match the numpy operations they lower, and the
+  first-use self-check must reject a backend with one wrong kernel.
 """
 
 import warnings
@@ -56,41 +56,27 @@ class TestOneThread:
 
 
 class TestBackendSelection:
-    def test_resolve_false_stays_false(self):
-        assert native.resolve_fused(False) is False
-
-    def test_resolve_true_defaults_to_numpy(self, monkeypatch):
-        monkeypatch.delenv(native.BACKEND_ENV_VAR, raising=False)
+    def test_resolve_true_defaults_to_numpy(self):
         assert native.resolve_fused(True) == "numpy"
-
-    def test_resolve_true_honors_env_default(self, monkeypatch):
-        monkeypatch.setenv(native.BACKEND_ENV_VAR, "native")
-        assert native.resolve_fused(True) == "native"
-
-    def test_explicit_string_beats_env(self, monkeypatch):
-        monkeypatch.setenv(native.BACKEND_ENV_VAR, "native")
-        assert native.resolve_fused("numpy") == "numpy"
 
     def test_strings_are_case_insensitive(self):
         assert native.resolve_fused("Native") == "native"
+        assert native.resolve_fused("NUMPY") == "numpy"
 
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            native.resolve_fused("fortran")
-        with pytest.raises(ConfigurationError):
-            native.resolve_fused(3)
-        monkeypatch.setenv(native.BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError):
-            native.resolve_fused(True)
+    def test_invalid_values_raise(self):
+        for value in ("fortran", 3, False, None):
+            with pytest.raises(ConfigurationError):
+                native.resolve_fused(value)
 
     def test_invalid_jit_preference_raises(self, monkeypatch, clean_native):
-        monkeypatch.setenv(native.JIT_ENV_VAR, "tcc")
-        with pytest.raises(ConfigurationError):
-            native.ensure_backend()
+        for value in ("tcc", "numba", "cffi"):
+            monkeypatch.setenv(native.JIT_ENV_VAR, value)
+            with pytest.raises(ConfigurationError):
+                native.ensure_backend()
 
 
 class TestGracefulFallback:
-    """fused="native" without a JIT toolchain: the degradation contract."""
+    """fused="native" without a C toolchain: the degradation contract."""
 
     def test_fallback_is_bit_identical_warns_once_and_counts(
         self, monkeypatch, clean_native, rng
@@ -203,7 +189,7 @@ class TestLowering:
     def test_native_schedule_cached_on_plan(self):
         available = native.ensure_backend()
         if available is None:
-            pytest.skip("no JIT toolchain in this environment")
+            pytest.skip("no C toolchain in this environment")
         algo = make_algorithm("2R1W")
         engine = fresh_engine()
         a = np.arange(64, dtype=np.float64).reshape(8, 8)
@@ -216,7 +202,7 @@ class TestLowering:
 
 
 needs_toolchain = pytest.mark.skipif(
-    not native.native_available(), reason="no JIT toolchain in this environment"
+    not native.native_available(), reason="no C toolchain in this environment"
 )
 
 
@@ -269,7 +255,35 @@ class TestNativeExecution:
         after = native_stats()
         assert after["available"] is True
         assert after["lowered_groups"] > before
-        assert after["toolchain"] in ("numba", "cffi")
+        assert after["toolchain"] == "cffi"
+
+    def test_probe_rejects_a_corrupted_kernel(self, monkeypatch, clean_native):
+        """One wrong kernel disables the backend at its first-use check:
+        the probe's reference runs the numpy fused path explicitly."""
+        real_load = native.CffiBackend.load.__func__
+
+        class OffByOne(native.CffiBackend):
+            def column_scan(self, a, row0, col0, nr, nc):
+                super().column_scan(a, row0, col0, nr, nc)
+                a[row0, col0] += 1.0
+
+        def load(cls):
+            real = real_load(native.CffiBackend)
+            return OffByOne(real._ffi, real._lib)
+
+        monkeypatch.setattr(native.CffiBackend, "load", classmethod(load))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert native.ensure_backend() is None
+            assert native.ensure_backend() is None
+        ours = [
+            w for w in caught
+            if issubclass(w.category, native.NativeBackendUnavailable)
+        ]
+        assert len(ours) == 1
+        failure = native_stats()["failure"]
+        assert failure.split()[0] in ("2R1W", "1R1W", "2R2W", "4R4W", "4R1W", "kR1W")
+        assert "diverged from the numpy fused path" in failure
 
 
 @needs_toolchain

@@ -154,21 +154,6 @@ class TestServingCLI:
         assert rc == 0
         assert "verification: lost=0 mismatches=0 misordered=0 -> OK" in out
 
-    def test_loadgen_with_session_offload(self, capsys):
-        rc = main([
-            "loadgen", "-n", "32", "--tile", "16", "--rounds", "1",
-            "--burst", "8", "--queue", "12", "--max-batch", "4",
-            "--session-algorithm", "1R1W", "--workers", "1",
-            "--width", "8", "--latency", "4",
-        ])
-        assert rc == 0
-
-    def test_bad_session_algorithm_fails_fast(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="choose from"):
-            main(["loadgen", "--quick", "--session-algorithm", "9R9W"])
-
     def test_stats_serving_section(self, capsys):
         import json
 

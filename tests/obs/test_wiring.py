@@ -88,19 +88,6 @@ class TestComputeWiring:
         )
         assert "fused_build" in runtime.spans().names()
 
-    def test_replay_mode_is_labelled_replay(self, rng):
-        a = rng.integers(0, 9, size=(16, 16)).astype(np.float64)
-        engine = fresh_engine()
-        algo = make_algorithm("1R1W")
-        algo.compute(a, PARAMS, engine=engine)
-        algo.compute(a, PARAMS, engine=engine, fast=True, fused=False, obs=True)
-        reg = runtime.registry()
-        assert reg.counter_value("kernel_launches_total", mode="replay") > 0
-        assert (
-            reg.counter_value("sat_computes_total", algorithm="1R1W", mode="replay")
-            == 1.0
-        )
-
     def test_direct_mode_is_labelled_direct(self, rng):
         a = rng.integers(0, 9, size=(16, 16)).astype(np.float64)
         make_algorithm("1R1W").compute(

@@ -116,9 +116,8 @@ class TestResultObject:
             {},
             {"fast": True, "fused": "numpy"},
             {"fast": True, "fused": "native"},
-            {"fast": True, "fused": False},
         ],
-        ids=["direct", "counted", "fused", "native", "replay"],
+        ids=["direct", "counted", "fused", "native"],
     )
     @pytest.mark.parametrize("kind", ["float64", "fortran", "readonly", "int"])
     def test_result_owns_its_memory(self, name, path, kind):

@@ -314,7 +314,6 @@ def _run_python(script: str, **env_overrides) -> subprocess.CompletedProcess:
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     env.update(env_overrides)
-    env.pop("REPRO_FUSED_BACKEND", None)
     return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=120,
