@@ -20,7 +20,7 @@ def report(capsys):
     """Print a reproduction artifact to the real stdout and persist it.
 
     Benchmarks that already write a canonical JSON under ``results/``
-    (throughput, serving, cluster) pass ``persist=False`` so the printed
+    (throughput, serving) pass ``persist=False`` so the printed
     summary does not leave a duplicate ``.txt`` twin next to it.
     """
 

@@ -16,9 +16,8 @@ worker processes** alive for the whole session:
   so the first *measured* batch already runs hot;
 * matrices cross the process boundary through two **pinned
   shared-memory slabs** (one input, one output) leased to the batch in
-  flight — the slot-lease idea of the cluster layer's ``LookupRing``
-  applied to whole batches. The slabs are allocated once, grown
-  geometrically when a bigger batch arrives, and unlinked only at
+  flight. The slabs are allocated once, grown geometrically when a
+  bigger batch arrives, and unlinked only at
   :meth:`BatchSession.close`; workers keep their mapping attached
   between batches. Inputs are written straight into the slab (no pickle,
   no staging copy, dtype preserved) and workers write each SAT straight

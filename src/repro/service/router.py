@@ -40,8 +40,6 @@ kernels amortize global-memory access:
   stitched in the same deterministic order either way.
 * **Fast path** — a rectangle whose ≤ 4 corners land in one range skips
   the fan-out machinery for a single round trip.
-* The hot transport underneath is the supervisor's shared-memory
-  :class:`~repro.service.cluster.LookupRing` (pipe fallback preserved).
 
 Every path stitches with the canonical inclusion–exclusion order, so all
 answers stay bit-identical to the local store.

@@ -26,18 +26,12 @@ from repro.service.cluster import (
     ALIVE,
     DOWN,
     CheckpointStore,
-    LookupRing,
-    RingUnavailable,
     ShardCheckpoint,
     ShardWorkerState,
     WorkerSupervisor,
     checkpoint_checksum,
     read_checkpoint,
     write_checkpoint,
-    _pack_lookup_request,
-    _pack_lookup_response,
-    _unpack_lookup_request,
-    _unpack_lookup_response,
 )
 from repro.service.queries import region_sum as local_region_sum
 from repro.service.router import ShardRouter, make_placement
@@ -75,6 +69,18 @@ def _load_worker(worker, store, ds, name="img", range_ids=None):
         assert reply[0] == "ok", reply
 
 
+def _lookup(worker, name, points):
+    """A lookup through ``worker.handle`` in the wire format (raw int64
+    points), an ``"ok"`` reply decoded to ``("ok", (values, version))``."""
+    status, payload = worker.handle(
+        ("lookup", name, np.asarray(points, dtype=np.int64).tobytes())
+    )
+    if status != "ok":
+        return status, payload
+    data, dtype, version = payload
+    return status, (np.frombuffer(data, dtype=dtype), version)
+
+
 def _flip_bit(blob, bit):
     """A copy of ``blob`` with one bit flipped."""
     out = bytearray(blob)
@@ -98,7 +104,7 @@ def test_worker_lookup_matches_local_sat(rng):
     worker = ShardWorkerState(0)
     _load_worker(worker, store, ds)
     points = [(int(r), int(c)) for r, c in rng.integers(0, 32, size=(16, 2))]
-    ok, (values, version) = worker.handle(("lookup", "img", points))
+    ok, (values, version) = _lookup(worker, "img", points)
     assert ok == "ok" and version == ds.version
     for (r, c), got in zip(points, values):
         assert got == ds.values.sat_at(r, c)  # bitwise: same addition order
@@ -124,7 +130,7 @@ def test_worker_delta_applies_only_owned_tiles(rng):
     comps = ds.values.shard_delta(0, 0, 0, 0)
     ok, version = worker.handle(("delta", "img", ds.version, comps))
     assert ok == "ok" and version == ds.version
-    ok, (values, _v) = worker.handle(("lookup", "img", [(1, 1)]))
+    ok, (values, _v) = _lookup(worker, "img", [(1, 1)])
     assert ok == "ok" and values[0] == ds.values.sat_at(1, 1)
 
 
@@ -136,16 +142,37 @@ def test_worker_lookup_outside_shards_is_an_error_not_a_guess(rng):
     (lo, hi) = ranges[1]
     r = (lo // ds.values.nb_c) * TILE  # a point in the uninstalled range
     c = (lo % ds.values.nb_c) * TILE
-    status, detail = worker.handle(("lookup", "img", [(r, c)]))
+    status, detail = _lookup(worker, "img", [(r, c)])
     assert status == "error" and "outside this worker" in detail
 
 
 def test_worker_unknown_op_and_unknown_dataset(rng):
     worker = ShardWorkerState(0)
     assert worker.handle(("warp", 1))[0] == "error"
-    assert worker.handle(("lookup", "ghost", [(0, 0)]))[0] == "error"
+    assert _lookup(worker, "ghost", [(0, 0)])[0] == "error"
     assert worker.handle(("delta", "ghost", 1, {}))[0] == "error"
     assert worker.handle(("drop", "ghost"))[0] == "ok"  # drop is idempotent
+
+
+@pytest.mark.parametrize("nbytes", [1, 8, 15, 24, 17 * 16 + 8])
+def test_worker_rejects_malformed_lookups_and_keeps_serving(rng, nbytes):
+    """Lookup points arrive from another process: a payload that is not
+    whole int64 (row, col) pairs, or one naming an unknown dataset, gets
+    an error reply, and the worker still answers the next valid lookup."""
+    ds = _dataset(rng)
+    store, _ranges = _checkpointed(ds)
+    worker = ShardWorkerState(0)
+    _load_worker(worker, store, ds)
+    status, detail = worker.handle(("lookup", "img", bytes(nbytes)))
+    assert status == "error" and "not whole" in detail
+    status, _detail = worker.handle(
+        ("lookup", "ghost", np.zeros((1, 2), dtype=np.int64).tobytes())
+    )
+    assert status == "error"
+    points = [(0, 0), (13, 29), (31, 31)]
+    ok, (values, version) = _lookup(worker, "img", points)
+    assert ok == "ok" and version == ds.version
+    assert _same_bits(values, [ds.values.sat_at(r, c) for r, c in points])
 
 
 # --- checkpoint store ---------------------------------------------------------
@@ -318,9 +345,9 @@ def test_flat_checkpoint_faults_are_typed_and_change_nothing(fault, reingest, da
             assert worker.datasets == {}
             return
         pts = [(r, c) for r in range(0, 32, 5) for c in range(0, 32, 7)]
-        ok, (values, version) = worker.handle(("lookup", "img", pts))
+        ok, (values, version) = _lookup(worker, "img", pts)
         assert ok == "ok" and version == old.version
-        assert values == [old.values.sat_at(r, c).item() for r, c in pts]
+        assert _same_bits(values, [old.values.sat_at(r, c) for r, c in pts])
     finally:
         sup.stop()
 
@@ -443,7 +470,7 @@ def test_ingest_with_a_corrupt_owner_load_still_publishes_the_route(
         pts = [(r, c) for r in range(0, 32, 3) for c in range(0, 32, 5)]
         values, version = sup.rpc(1, ("lookup", "img", pts))
         assert version == ds.version
-        assert values == [ds.values.sat_at(r, c).item() for r, c in pts]
+        assert _same_bits(values, [ds.values.sat_at(r, c) for r, c in pts])
     finally:
         router.close()
 
@@ -533,7 +560,7 @@ def test_process_loads_reuse_one_slab_and_growth_unlinks_it(
     sup = WorkerSupervisor(1)
     router = ShardRouter(sup, replicas=1)
     try:
-        created.clear()  # count from here: the spawn made the lookup ring
+        assert created == []  # spawning a worker makes no segment
         for _ in range(3):
             a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
             ds = router.ingest("img", a, tile=TILE)
@@ -701,163 +728,45 @@ def test_monitor_thread_recovers_a_killed_worker(rng):
         router.close()
 
 
-# --- shared-memory lookup ring ------------------------------------------------
+# --- lookup wire format -------------------------------------------------------
 
 
-def test_ring_codec_roundtrips_points_and_values():
-    pts = np.array([[0, 0], [7, 31], [120, 3]], dtype=np.int64)
-    name, got = _unpack_lookup_request(_pack_lookup_request("img", pts))
-    assert name == "img" and np.array_equal(got, pts)
-    empty_name, empty = _unpack_lookup_request(
-        _pack_lookup_request("squares", np.empty((0, 2), dtype=np.int64))
-    )
-    assert empty_name == "squares" and empty.shape == (0, 2)
-    for values in (
-        np.array([1.5, -2.5, 1e300], dtype=np.float64),
-        np.arange(-3, 3, dtype=np.int64),
-        np.array([0.25], dtype=np.float32),
-    ):
-        got_v, version = _unpack_lookup_response(_pack_lookup_response(values, 7))
-        assert version == 7
-        assert got_v.dtype == values.dtype
-        assert np.array_equal(got_v, values)
-
-
-def test_lookup_ring_serves_and_rejects_oversized_payloads():
-    ring = LookupRing.create(slots=2, slot_payload=64)
-    server = LookupRing.attach(ring.name)
-    stop = threading.Event()
-
-    def serve_loop():
-        while not stop.is_set():
-            if server.serve(lambda payload: (0, payload[::-1])) == 0:
-                time.sleep(0.001)
-
-    t = threading.Thread(target=serve_loop, daemon=True)
-    t.start()
-    try:
-        status, resp = ring.request(b"doorbell", timeout=5.0)
-        assert status == 0 and resp == b"llebrood"
-        # A payload that cannot fit any slot is refused up front, so the
-        # supervisor can fall back to the pipe instead of blocking.
-        with pytest.raises(RingUnavailable):
-            ring.request(b"x" * 65, timeout=1.0)
-    finally:
-        stop.set()
-        t.join()
-        server.close()
-        ring.retire()
-
-
-def test_process_bulk_lookup_rides_the_ring(rng):
-    sup = WorkerSupervisor(2, heartbeat_interval=0.02)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize("n_points", [1, 8, 9, 300])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_lookup_wire_preserves_values_and_dtype(rng, dtype, n_points, inline):
+    """Regression: a lookup reply must carry the dataset dtype at every
+    batch size, scalar-served (<= 8 points) or vectorized. Rebuilding
+    float32 corners as float64 made region_sum stitch at the wrong
+    precision *and* return the wrong dtype, when two wire formats
+    disagreed."""
+    sup = WorkerSupervisor(2, inline=inline, heartbeat_interval=0.02)
     router = ShardRouter(sup, replicas=2)
     try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
+        a = rng.integers(-50, 50, size=(32, 32)).astype(dtype)
         ds = router.ingest("img", a, tile=TILE)
-        # More points than the scalar/pipe cutoff: bulk batches always
-        # take the ring, whatever the host's CPU count.
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
-        )
-        assert len(pts) > 8
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sum(sup.stats()["ring_lookups"].values()) >= 1
-    finally:
-        router.close()
-
-
-def test_process_oversized_ring_batch_falls_back_to_the_pipe(rng):
-    # Slots too small for even the request header + 16 points: every
-    # bulk lookup must quietly detour over the pipe and still be exact.
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, ring_slot_bytes=64)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
-    router = ShardRouter(sup, replicas=1)
-    try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
-        ds = router.ingest("img", a, tile=TILE)
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (1, 30)], dtype=np.int64
-        )
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sup.handles[0].state == ALIVE  # fallback is not a failure
-        assert sup.stats()["pipe_lookups"][0] >= 1
-        assert sup.stats()["ring_lookups"][0] == 0
-    finally:
-        router.close()
-
-
-def test_process_use_ring_false_serves_over_the_pipe(rng):
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, use_ring=False)
-    router = ShardRouter(sup, replicas=1)
-    try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
-        ds = router.ingest("img", a, tile=TILE)
-        assert sup.handles[0].ring is None
-        pts = np.array(
-            [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
-        )
-        values, _v = sup.rpc(0, ("lookup", "img", pts))
-        want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
-        assert sum(sup.stats()["ring_lookups"].values()) == 0
-    finally:
-        router.close()
-
-
-def test_process_tiny_pipe_lookup_preserves_dataset_dtype(rng):
-    """Regression: the tiny list-encoded pipe path must restore the
-    dataset dtype. Rebuilding float32 corners as float64 made
-    region_sum stitch at the wrong precision *and* return the wrong
-    dtype — and only on the pipe, so results depended on the transport.
-    """
-    sup = WorkerSupervisor(2, heartbeat_interval=0.02, use_ring=False)
-    router = ShardRouter(sup, replicas=2)
-    try:
-        a = rng.integers(-50, 50, size=(32, 32)).astype(np.float32)
-        ds = router.ingest("img", a, tile=TILE)
-        pts = np.array([[3, 3], [9, 9], [31, 31]], dtype=np.int64)
-        values, _v = sup.rpc(0, ("lookup", "img", pts))  # tiny: list wire
-        assert values.dtype == np.float32
-        for (r, c), got in zip(pts, values):
-            assert got == ds.values.sat_at(r, c)
+        # Two workers, two replicas: worker 0 holds every tile.
+        pts = rng.integers(0, 32, size=(n_points, 2))
+        values, version = sup.rpc(0, ("lookup", "img", pts))
+        assert version == ds.version
+        assert _same_bits(values, [ds.values.sat_at(r, c) for r, c in pts])
+        stats = sup.stats()
+        assert sum(stats["pipe_lookups"].values()) == (0 if inline else 1)
+        assert sum(stats["ring_lookups"].values()) == 0
         # End-to-end: scalar region_sum (which sums raw corner values)
         # must match the local oracle bit-for-bit, dtype included.
         for top, left, bottom, right in [(0, 0, 31, 31), (5, 7, 20, 22),
                                          (9, 9, 12, 12), (0, 3, 3, 30)]:
             got = router.region_sum("img", top, left, bottom, right)
             want = local_region_sum(ds, top, left, bottom, right)
-            assert got == want
-            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert _same_bits(got, want)
         assert router.counters["degraded"] == 0
     finally:
         router.close()
 
 
-def test_ring_is_disabled_on_weakly_ordered_machines(monkeypatch):
-    """The ring's fence-free publication protocol assumes x86-TSO; on
-    any other machine the supervisor must keep lookups on the pipe."""
-    monkeypatch.setattr(cluster_module, "_RING_TSO_SAFE", False)
-    sup = WorkerSupervisor(1, heartbeat_interval=0.02, use_ring=True)
-    try:
-        assert not sup.use_ring
-        assert sup.handles[0].ring is None
-        assert sup.handles[0].doorbell_w == -1
-    finally:
-        sup.stop()
-
-
-def test_process_ring_lookup_fails_fast_when_worker_dies(rng):
+def test_process_lookup_fails_fast_when_worker_dies(rng):
     sup = WorkerSupervisor(2, heartbeat_interval=0.02)
-    if not sup.use_ring:
-        pytest.skip("ring transport needs the fork start method")
     router = ShardRouter(sup, replicas=2)
     try:
         a = rng.integers(-50, 50, size=(32, 32)).astype(np.float64)
@@ -866,8 +775,7 @@ def test_process_ring_lookup_fails_fast_when_worker_dies(rng):
             [[r, c] for r in range(0, 32, 4) for c in (0, 31)], dtype=np.int64
         )
         sup.kill_worker(0)
-        # The ring client must notice the corpse (dead doorbell or the
-        # alive() probe) well before the 5s RPC timeout, not spin it out.
+        # The dead pipe must surface at once, not after the 5s RPC timeout.
         t0 = time.monotonic()
         with pytest.raises(WorkerUnavailable):
             sup.rpc(0, ("lookup", "img", pts))
@@ -876,6 +784,6 @@ def test_process_ring_lookup_fails_fast_when_worker_dies(rng):
         assert sup.restart(0)
         values, _v = sup.rpc(0, ("lookup", "img", pts))
         want = np.array([ds.values.sat_at(r, c) for r, c in pts])
-        assert np.array_equal(values, want)
+        assert _same_bits(values, want)
     finally:
         router.close()
