@@ -144,7 +144,7 @@ def bench_streaming(rows: int, cols: int, band_rows: int) -> Dict[str, float]:
     def run(depth: int) -> float:
         t0 = time.perf_counter()
         for _row0, _band in sat_streamed(
-            provider, a.shape, band_rows, copy_bands=False, prefetch_depth=depth
+            provider, a.shape, band_rows, prefetch_depth=depth
         ):
             pass
         return gib / (time.perf_counter() - t0)

@@ -42,9 +42,7 @@ from .out_of_core import (
     carry_checksum,
     hmm_band_sat,
     sat_out_of_core,
-    sat_out_of_core_resilient,
     sat_streamed,
-    sat_streamed_resilient,
 )
 from .registry import ALGORITHM_NAMES, describe, list_algorithms, make_algorithm
 from .tuning import TuningResult, candidate_ps, tune_analytic, tune_measured
@@ -69,9 +67,7 @@ __all__ = [
     "sat_batch",
     "sat_batch_list",
     "sat_out_of_core",
-    "sat_out_of_core_resilient",
     "sat_streamed",
-    "sat_streamed_resilient",
     "OneReadOneWrite",
     "SATAlgorithm",
     "SATResult",

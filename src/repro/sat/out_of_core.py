@@ -12,6 +12,8 @@ because everything above the band contributes column-wise totals only.
 Each band can itself be computed by any in-core algorithm (including the
 HMM-simulated ones), so the carry row plays exactly the role of 1R1W's
 ``AuxB`` boundary buffer, stretched across device-memory generations.
+:func:`sat_streamed` is the one band driver: band retries, the oracle
+fallback and checkpoints are its arguments, off by default.
 """
 
 from __future__ import annotations
@@ -113,162 +115,35 @@ class BandPrefetcher:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-def hmm_band_sat(
-    algorithm="1R1W",
-    params=None,
-    *,
-    engine=None,
-    fast: bool = True,
-    **algo_kwargs,
-) -> Callable[[np.ndarray], np.ndarray]:
+def hmm_band_sat(algorithm="1R1W", params=None) -> Callable[[np.ndarray], np.ndarray]:
     """Build a ``band_sat`` that runs every band through ONE session engine.
 
-    Previously the documented recipe for HMM-computed bands —
-    ``lambda b: compute_sat(b, ...).sat`` — hit whatever engine the call
-    defaulted to, and a caller wiring up a private engine per band
-    recompiled the same plan for every band of the stream. This factory
-    fixes the session wiring: it owns a single
+    The factory owns a single
     :class:`~repro.machine.engine.ExecutionEngine` for the stream's
     lifetime, so every band of the same height resolves to one cached
     plan (bands of a regular stream all share ``(rows, cols)`` except
-    possibly the last), and ``fast=True`` (default) executes warm bands
-    through the fused batched backend.
+    possibly the last), and warm bands execute through the fused batched
+    backend (``fast=True``).
 
-    ``algorithm`` is a registry name (kwargs forwarded, e.g. ``p=`` for
-    kR1W) or an algorithm instance. The returned callable exposes the
-    engine as ``.engine`` so callers can assert cache behavior.
+    ``algorithm`` is a registry name or an algorithm instance (build one
+    with :func:`~repro.sat.registry.make_algorithm` to choose kR1W's
+    ``p``). The returned callable exposes the engine as ``.engine`` so
+    callers can assert cache behavior.
     """
     from ..machine.engine import ExecutionEngine, PlanCache
     from ..machine.params import MachineParams
     from .registry import make_algorithm
 
-    algo = (
-        make_algorithm(algorithm, **algo_kwargs)
-        if isinstance(algorithm, str)
-        else algorithm
-    )
+    algo = make_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     if params is None:
         params = MachineParams()
-    if engine is None:
-        engine = ExecutionEngine(cache=PlanCache())
+    engine = ExecutionEngine(cache=PlanCache())
 
     def band_sat(band: np.ndarray) -> np.ndarray:
-        return algo.compute(band, params, engine=engine, fast=fast).sat
+        return algo.compute(band, params, engine=engine, fast=True).sat
 
     band_sat.engine = engine
     return band_sat
-
-
-def sat_streamed(
-    provider: BandProvider,
-    shape: Tuple[int, int],
-    band_rows: int,
-    *,
-    band_sat: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    copy_bands: bool = True,
-    prefetch_depth: int = 0,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(row0, sat_band)`` pairs covering the full SAT, in order.
-
-    Parameters
-    ----------
-    provider:
-        Called once per band with ``(row0, row1)``; must return rows
-        ``[row0, row1)`` of the input. This indirection is what makes the
-        input "larger than memory" — only one band (plus any prefetched
-        bands) is resident at a time.
-    shape:
-        Full matrix shape ``(n_rows, n_cols)``.
-    band_rows:
-        Rows per band (the memory budget).
-    band_sat:
-        In-core SAT kernel applied to each band; defaults to the numpy
-        oracle. Pass :func:`hmm_band_sat` to run the bands on the
-        simulated HMM through one session engine (every same-height band
-        reuses one cached plan; band shapes must satisfy the chosen
-        algorithm's block-multiple/rectangular requirements).
-    copy_bands:
-        By default every band is defensively copied, because providers
-        commonly return views of backing storage and a ``band_sat`` that
-        works in place must never reach back through the view. Providers
-        that hand over ownership of each band (fresh arrays from disk or
-        network reads) can pass ``False`` for a zero-copy hand-off, which
-        halves the stream's peak residency — with the documented caveat
-        that an in-place ``band_sat`` then mutates the provider's array.
-    prefetch_depth:
-        ``0`` (default) fetches serially. ``>= 1`` overlaps data movement
-        with compute: a worker thread runs the provider up to this many
-        bands ahead while the current band's SAT is computed — the
-        double-buffering that hides fetch latency behind compute, exactly
-        as the GPU algorithms hide global-memory latency behind arithmetic.
-    """
-    n_rows, n_cols = shape
-    if n_rows <= 0 or n_cols <= 0:
-        raise ShapeError(f"matrix shape must be positive, got {shape}")
-    if band_rows <= 0:
-        raise ShapeError(f"band_rows must be positive, got {band_rows}")
-    if band_sat is None:
-        band_sat = sat_reference
-    spans = _band_spans(n_rows, band_rows)
-    prefetcher: Optional[BandPrefetcher] = None
-    fetch: BandProvider = provider
-    if prefetch_depth > 0:
-        prefetcher = BandPrefetcher(provider, spans, depth=prefetch_depth)
-        fetch = prefetcher.fetch
-    try:
-        carry = np.zeros(n_cols)
-        for row0, row1 in spans:
-            raw = fetch(row0, row1)
-            if copy_bands:
-                band = np.array(raw, dtype=np.float64, copy=True)
-            else:
-                band = np.asarray(raw, dtype=np.float64)
-            if band.shape != (row1 - row0, n_cols):
-                raise ShapeError(
-                    f"provider returned shape {band.shape} for rows "
-                    f"[{row0}, {row1}) of a {shape} matrix"
-                )
-            require_finite(band, what=f"provider band rows [{row0}, {row1})")
-            with obs.span("band_compute", row0=row0, rows=row1 - row0):
-                sat_band = np.asarray(band_sat(band), dtype=np.float64)
-            if sat_band.shape != band.shape:
-                raise ShapeError("band_sat must preserve the band's shape")
-            sat_band = sat_band + carry[None, :]
-            # This also validates the next carry row — it is sat_band's
-            # last row.
-            require_finite(sat_band, what=f"SAT band rows [{row0}, {row1})")
-            carry = sat_band[-1].copy()
-            obs.inc("stream_bands_total", resilient="false")
-            yield row0, sat_band
-    finally:
-        if prefetcher is not None:
-            prefetcher.close()
-
-
-def sat_out_of_core(
-    a: np.ndarray,
-    band_rows: int,
-    *,
-    band_sat: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Convenience wrapper: stream an in-memory matrix band by band.
-
-    Exists mainly for testing and demonstration — with the matrix already
-    resident it is equivalent to :func:`sat_reference`, but it exercises
-    the exact carry logic a disk/network-backed provider would use.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"SAT input must be 2-D, got ndim={a.ndim}")
-    out = np.empty_like(a)
-    for row0, sat_band in sat_streamed(
-        lambda r0, r1: a[r0:r1], a.shape, band_rows, band_sat=band_sat
-    ):
-        out[row0 : row0 + sat_band.shape[0]] = sat_band
-    return out
-
-
-# --- resilience layer ---------------------------------------------------------
 
 
 def carry_checksum(carry: np.ndarray) -> int:
@@ -321,7 +196,7 @@ class StreamCheckpoint:
 
 @dataclasses.dataclass
 class StreamReport:
-    """What the resilient stream survived — surfaced, not just logged."""
+    """What a :func:`sat_streamed` run survived — surfaced, not just logged."""
 
     bands_completed: int = 0
     #: band_sat invocations that raised a ReproError and were retried.
@@ -426,51 +301,78 @@ class ResilientBandProvider:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-def sat_streamed_resilient(
+def sat_streamed(
     provider: BandProvider,
     shape: Tuple[int, int],
     band_rows: int,
     *,
     band_sat: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    oracle_fallback: bool = True,
-    max_band_attempts: int = 3,
+    prefetch_depth: int = 0,
+    max_band_attempts: int = 1,
+    oracle_fallback: bool = False,
     backoff: Optional[ExponentialBackoff] = None,
     clock: Optional[Clock] = None,
     checkpoint: Optional[StreamCheckpoint] = None,
     on_checkpoint: Optional[Callable[[StreamCheckpoint], None]] = None,
     report: Optional[StreamReport] = None,
-    copy_bands: bool = True,
-    prefetch_depth: int = 0,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """:func:`sat_streamed` hardened against faulty kernels and interruptions.
+    """Yield ``(row0, sat_band)`` pairs covering the full SAT, in order.
 
-    Differences from the plain stream:
-
-    * ``band_sat`` failures (any :class:`~repro.errors.ReproError`, e.g. a
-      fault-injected HMM run exhausting its retries) are retried up to
-      ``max_band_attempts`` times with deterministic backoff; if the band
-      still fails, the computation **degrades** to the numpy oracle for
-      that band (``oracle_fallback``), recording it in ``report`` — or
-      raises :class:`~repro.errors.RetryExhausted` when fallback is off.
-    * after each band a :class:`StreamCheckpoint` ``(row0, carry,
-      checksum)`` is handed to ``on_checkpoint``; an interrupted stream
-      resumes from its last checkpoint via ``checkpoint=`` without
-      recomputing (or re-fetching) finished bands.
-    * the carry row's integrity is checksum-verified on restore, so a
-      corrupted checkpoint raises
-      :class:`~repro.errors.CorruptionDetected` instead of silently
-      poisoning every remaining band.
-
-    Each ``band_sat`` attempt receives a private copy of the band, so a
-    kernel that mutates its input cannot corrupt the retry or the oracle
-    fallback (band retries therefore stay safe even with
-    ``copy_bands=False``). ``prefetch_depth >= 1`` overlaps band fetching
-    with band computation exactly as in :func:`sat_streamed`; the provider
-    (including a wrapping :class:`ResilientBandProvider` with its retry
-    and backoff machinery) then runs on the prefetch thread, and a fetch
-    that exhausts its retries surfaces its
-    :class:`~repro.errors.RetryExhausted` when the stream reaches the
-    failing band. A resumed stream prefetches only the remaining bands.
+    Parameters
+    ----------
+    provider:
+        Called once per band with ``(row0, row1)``; must return rows
+        ``[row0, row1)`` of the input. This indirection is what makes the
+        input "larger than memory" — only one band (plus any prefetched
+        bands) is resident at a time. Wrap a flaky source in
+        :class:`ResilientBandProvider` for fetch retries.
+    shape:
+        Full matrix shape ``(n_rows, n_cols)``.
+    band_rows:
+        Rows per band (the memory budget).
+    band_sat:
+        In-core SAT kernel applied to each band; defaults to the numpy
+        oracle. Pass :func:`hmm_band_sat` to run the bands on the
+        simulated HMM through one session engine (every same-height band
+        reuses one cached plan; band shapes must satisfy the chosen
+        algorithm's block-multiple/rectangular requirements). Each call
+        gets a private copy of the band, so a kernel that works in place
+        never reaches back through a provider's view, nor into a retry or
+        the oracle fallback. The stream takes ownership of the array the
+        kernel returns: it adds the carry into it in place and yields it.
+        ``SATResult.sat`` and :func:`sat_reference` both return fresh
+        arrays.
+    prefetch_depth:
+        ``0`` (default) fetches serially. ``>= 1`` overlaps data movement
+        with compute: a worker thread runs the provider up to this many
+        bands ahead while the current band's SAT is computed — the
+        double-buffering that hides fetch latency behind compute, exactly
+        as the GPU algorithms hide global-memory latency behind arithmetic.
+        A provider error surfaces when the stream reaches the failing band.
+    max_band_attempts:
+        ``band_sat`` calls per band. A call that raises a
+        :class:`~repro.errors.ReproError` or returns a wrong shape or a
+        non-finite band is retried after ``backoff.pause(clock, attempt)``
+        (a :class:`~repro.util.backoff.FakeClock` by default, which never
+        sleeps). A band that fails its only attempt raises the kernel's
+        own error; one that fails several raises
+        :class:`~repro.errors.RetryExhausted`.
+    oracle_fallback:
+        Instead of raising, compute a band that failed every attempt with
+        the numpy oracle and record it in ``report.degraded_bands``.
+    checkpoint:
+        Resume from a :class:`StreamCheckpoint`: only the bands from
+        ``checkpoint.row0`` on are fetched and computed, and a carry that
+        fails its checksum raises :class:`~repro.errors.CorruptionDetected`
+        instead of poisoning every remaining band.
+    on_checkpoint:
+        Receives ``StreamCheckpoint(row1, carry)`` once the consumer has
+        taken band ``[row0, row1)`` and asked for the next one. A
+        checkpoint therefore covers only bands the consumer has moved
+        past: a consumer that dies while handling a band resumes by
+        recomputing it, never by skipping it.
+    report:
+        A :class:`StreamReport` to fill with what the stream survived.
     """
     n_rows, n_cols = shape
     if n_rows <= 0 or n_cols <= 0:
@@ -513,17 +415,14 @@ def sat_streamed_resilient(
         fetch = prefetcher.fetch
     try:
         for row0, row1 in spans:
-            raw = fetch(row0, row1)
-            if copy_bands:
-                band = np.array(raw, dtype=np.float64, copy=True)
-            else:
-                band = np.asarray(raw, dtype=np.float64)
+            band = np.asarray(fetch(row0, row1), dtype=np.float64)
             if band.shape != (row1 - row0, n_cols):
                 raise ShapeError(
                     f"provider returned shape {band.shape} for rows "
                     f"[{row0}, {row1}) of a {shape} matrix"
                 )
             require_finite(band, what=f"provider band rows [{row0}, {row1})")
+            what = f"SAT band rows [{row0}, {row1})"
 
             sat_band: Optional[np.ndarray] = None
             last_fault: Optional[ReproError] = None
@@ -532,15 +431,13 @@ def sat_streamed_resilient(
                     with obs.span(
                         "band_compute", row0=row0, rows=row1 - row0, attempt=attempt
                     ):
-                        candidate = np.asarray(
-                            band_sat(band.copy()), dtype=np.float64
-                        )
+                        candidate = np.asarray(band_sat(band.copy()), dtype=np.float64)
                     if candidate.shape != band.shape:
                         raise ShapeError("band_sat must preserve the band's shape")
-                    require_finite(
-                        candidate, what=f"band_sat output for rows [{row0}, {row1})"
-                    )
-                    sat_band = candidate
+                    candidate += carry
+                    # One scan catches a corrupt kernel, an overflow and a
+                    # bad next carry (the band's last row).
+                    sat_band = require_finite(candidate, what=what)
                     break
                 except ReproError as fault:
                     last_fault = fault
@@ -561,37 +458,36 @@ def sat_streamed_resilient(
                         f"({type(last_fault).__name__}); degrading to numpy oracle"
                     )
                     sat_band = sat_reference(band)
+                    sat_band += carry
+                    require_finite(sat_band, what=what)
+                elif max_band_attempts == 1:
+                    raise last_fault
                 else:
                     raise RetryExhausted(
                         f"band [{row0}, {row1}) failed {max_band_attempts} "
                         f"band_sat attempt(s): {last_fault}"
                     ) from last_fault
 
-            sat_band = sat_band + carry[None, :]
-            require_finite(sat_band, what=f"SAT band rows [{row0}, {row1})")
             carry = sat_band[-1].copy()
             report.bands_completed += 1
-            obs.inc("stream_bands_total", resilient="true")
+            obs.inc("stream_bands_total")
+            yield row0, sat_band
             if on_checkpoint is not None:
                 on_checkpoint(StreamCheckpoint.at(row1, carry))
                 report.checkpoints_written += 1
                 obs.inc("stream_checkpoints_total")
-            yield row0, sat_band
     finally:
         if prefetcher is not None:
             prefetcher.close()
 
 
-def sat_out_of_core_resilient(
-    a: np.ndarray,
-    band_rows: int,
-    **kwargs,
-) -> Tuple[np.ndarray, StreamReport]:
-    """Resilient convenience wrapper; returns ``(sat, report)``.
+def sat_out_of_core(a: np.ndarray, band_rows: int, **kwargs) -> np.ndarray:
+    """Stream an in-memory matrix band by band and return its SAT.
 
-    Accepts every :func:`sat_streamed_resilient` keyword. The in-memory
-    matrix stands in for whatever disk/network source a real deployment
-    streams from.
+    Accepts every :func:`sat_streamed` keyword except ``checkpoint`` and
+    fills the ``report=`` a caller passes in. With the matrix already
+    resident it is equivalent to :func:`sat_reference`, but it exercises
+    the exact carry logic a disk/network-backed provider would use.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -599,15 +495,14 @@ def sat_out_of_core_resilient(
     if kwargs.get("checkpoint") is not None:
         # A resumed stream only yields the *remaining* bands; this wrapper
         # promises the full SAT, so resume callers must drive
-        # sat_streamed_resilient themselves (keeping their earlier bands).
-        raise ShapeError("sat_out_of_core_resilient cannot resume; use sat_streamed_resilient")
-    report = kwargs.pop("report", None) or StreamReport()
+        # sat_streamed themselves (keeping their earlier bands).
+        raise ShapeError("sat_out_of_core cannot resume; use sat_streamed")
     out = np.empty_like(a)
-    for row0, sat_band in sat_streamed_resilient(
-        lambda r0, r1: a[r0:r1], a.shape, band_rows, report=report, **kwargs
+    for row0, sat_band in sat_streamed(
+        lambda r0, r1: a[r0:r1], a.shape, band_rows, **kwargs
     ):
         out[row0 : row0 + sat_band.shape[0]] = sat_band
-    return out, report
+    return out
 
 
 class PeakMemoryMeter:

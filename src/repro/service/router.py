@@ -273,11 +273,8 @@ class ShardRouter:
         rpc_timeout: float = 2.0,
         breaker_failures: int = 3,
         breaker_cooldown: float = 1.0,
-        coalesce: bool = True,
         coalesce_window: float = 0.0,
         coalesce_max_points: int = 4096,
-        pipeline: bool = True,
-        fanout_threads: Optional[int] = None,
     ):
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
@@ -308,14 +305,8 @@ class ShardRouter:
             )
             for _ in range(supervisor.workers)
         ]
-        self.coalesce = coalesce
         self.coalesce_window = coalesce_window
         self.coalesce_max_points = coalesce_max_points
-        self.pipeline = pipeline
-        self.fanout_threads = (
-            fanout_threads if fanout_threads is not None
-            else max(4, 2 * supervisor.workers)
-        )
         self._routes: Dict[str, _DatasetRoute] = {}
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -680,7 +671,7 @@ class ShardRouter:
         order, so pipelining changes latency, never values. Deadline
         failures outrank replica exhaustion when both happen.
         """
-        if len(groups) == 1 or not self.pipeline:
+        if len(groups) == 1:
             return [
                 self._coalesced_lookup(route, rid, pts, deadline)
                 for rid, pts in groups
@@ -731,8 +722,6 @@ class ShardRouter:
         query. Values come back in request order per caller, so
         coalescing is invisible to the stitch.
         """
-        if not self.coalesce:
-            return self._lookup_on_range(route, rid, points, deadline)
         ch = self._channel(route.name, rid)
         me = _PendingLookup(points, deadline)
         batch: Optional[List[_PendingLookup]] = None
@@ -871,7 +860,7 @@ class ShardRouter:
                 executor = self._executor
                 if executor is None:
                     executor = ThreadPoolExecutor(
-                        max_workers=self.fanout_threads,
+                        max_workers=max(4, 2 * self.supervisor.workers),
                         thread_name_prefix="repro-router-fanout",
                     )
                     self._executor = executor

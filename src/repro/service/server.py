@@ -136,8 +136,6 @@ class SATServer:
         clock: Callable[[], float] = time.monotonic,
         drain_timeout: Optional[float] = None,
         router: Optional["ShardRouter"] = None,
-        coalesce_window: Optional[float] = None,
-        coalesce_max_points: Optional[int] = None,
         adaptive=None,
     ):
         if max_queue < 1:
@@ -148,20 +146,7 @@ class SATServer:
             raise ConfigurationError(
                 f"drain_timeout must be positive (or None), got {drain_timeout}"
             )
-        if router is None and (coalesce_window is not None
-                               or coalesce_max_points is not None):
-            raise ConfigurationError(
-                "coalesce_window/coalesce_max_points tune the cluster "
-                "router's request coalescer; pass router= as well"
-            )
         self.router = router
-        if router is not None:
-            # The server's micro-batches feed straight into the router's
-            # coalescer, so its window/size knobs are exposed here.
-            if coalesce_window is not None:
-                router.coalesce_window = coalesce_window
-            if coalesce_max_points is not None:
-                router.coalesce_max_points = coalesce_max_points
         self.store = store if store is not None else TiledSATStore()
         self.max_queue = max_queue
         self.max_batch = max_batch

@@ -13,7 +13,6 @@ from repro.sat.out_of_core import (
     StreamReport,
     _band_spans,
     sat_streamed,
-    sat_streamed_resilient,
 )
 from repro.sat.reference import sat_reference
 
@@ -76,28 +75,25 @@ class TestBandPrefetcher:
         assert all(t is not threading.main_thread() for t in threads)
 
 
+RESILIENT = {"max_band_attempts": 3, "oracle_fallback": True}
+
+
 class TestPipelinedStreams:
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_pipelined_equals_serial(self, rng, depth):
+    @pytest.mark.parametrize(
+        "depth, resilience",
+        [(1, {}), (2, {}), (3, {}), (0, RESILIENT), (1, RESILIENT), (2, RESILIENT)],
+        ids=["1", "2", "3", "resilient-0", "resilient-1", "resilient-2"],
+    )
+    def test_pipelined_equals_serial(self, rng, depth, resilience):
         a = integer_matrix(rng, (37, 21))
         provider = lambda r0, r1: a[r0:r1]
         serial = collect(sat_streamed(provider, a.shape, 8), a.shape)
         pipelined = collect(
-            sat_streamed(provider, a.shape, 8, prefetch_depth=depth), a.shape
+            sat_streamed(provider, a.shape, 8, prefetch_depth=depth, **resilience),
+            a.shape,
         )
         assert np.array_equal(pipelined, serial)
         assert np.array_equal(pipelined, sat_reference(a))
-
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    def test_resilient_pipelined_equals_oracle(self, rng, depth):
-        a = integer_matrix(rng, (37, 21))
-        out = collect(
-            sat_streamed_resilient(
-                lambda r0, r1: a[r0:r1], a.shape, 8, prefetch_depth=depth
-            ),
-            a.shape,
-        )
-        assert np.array_equal(out, sat_reference(a))
 
     def test_provider_error_surfaces_at_the_failing_band(self, rng):
         a = integer_matrix(rng, (32, 8))
@@ -126,7 +122,7 @@ class TestPipelinedStreams:
         )
         with pytest.raises(RetryExhausted):
             collect(
-                sat_streamed_resilient(provider, a.shape, 8, prefetch_depth=1),
+                sat_streamed(provider, a.shape, 8, prefetch_depth=1, **RESILIENT),
                 a.shape,
             )
 
@@ -138,7 +134,7 @@ class TestPipelinedStreams:
             injector.wrap_provider(lambda r0, r1: a[r0:r1]), max_retries=8
         )
         out = collect(
-            sat_streamed_resilient(provider, a.shape, 8, prefetch_depth=2),
+            sat_streamed(provider, a.shape, 8, prefetch_depth=2, **RESILIENT),
             a.shape,
         )
         assert np.array_equal(out, sat_reference(a))
@@ -152,12 +148,13 @@ class TestPipelinedStreams:
 
         report = StreamReport()
         out = collect(
-            sat_streamed_resilient(
+            sat_streamed(
                 lambda r0, r1: a[r0:r1],
                 a.shape,
                 8,
                 band_sat=broken_band_sat,
                 max_band_attempts=2,
+                oracle_fallback=True,
                 prefetch_depth=1,
                 report=report,
             ),
@@ -182,33 +179,6 @@ class TestPipelinedStreams:
 
 
 class TestCopyBands:
-    def test_zero_copy_hand_off(self, rng):
-        """``copy_bands=False`` must pass the provider's arrays through."""
-        a = integer_matrix(rng, (16, 4))
-        handed_out = []
-
-        def provider(r0, r1):
-            band = a[r0:r1].astype(np.float64)
-            handed_out.append(band)
-            return band
-
-        received = []
-        def spying_band_sat(band):
-            received.append(band)
-            return sat_reference(band)
-
-        out = collect(
-            sat_streamed(
-                provider, a.shape, 8, band_sat=spying_band_sat, copy_bands=False
-            ),
-            a.shape,
-        )
-        assert np.array_equal(out, sat_reference(a))
-        assert all(
-            np.shares_memory(got, gave)
-            for got, gave in zip(received, handed_out)
-        )
-
     def test_default_still_copies_defensively(self, rng):
         a = integer_matrix(rng, (16, 4))
         received = []
@@ -224,8 +194,9 @@ class TestCopyBands:
         assert not any(np.shares_memory(band, a) for band in received)
 
     def test_resilient_zero_copy_keeps_retries_safe(self, rng):
-        """Resilient band_sat attempts still get private copies, so an
-        in-place kernel cannot corrupt the retry even with zero-copy."""
+        """Every band_sat attempt gets a private copy, so an in-place
+        kernel cannot corrupt the retry, even when the provider returns
+        views of the source."""
         a = integer_matrix(rng, (16, 4))
         attempts = {"n": 0}
 
@@ -236,15 +207,16 @@ class TestCopyBands:
                 raise TransientFault("first attempt dies after mutating")
             return sat_reference(band - 1000.0)
 
+        original = a.copy()
         out = collect(
-            sat_streamed_resilient(
-                lambda r0, r1: a[r0:r1].astype(np.float64),
+            sat_streamed(
+                lambda r0, r1: a[r0:r1],
                 a.shape,
                 8,
                 band_sat=mutating_then_failing,
                 max_band_attempts=3,
-                copy_bands=False,
             ),
             a.shape,
         )
         assert np.array_equal(out, sat_reference(a))
+        assert np.array_equal(a, original)

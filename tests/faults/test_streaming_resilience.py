@@ -17,8 +17,8 @@ from repro.sat.out_of_core import (
     StreamCheckpoint,
     StreamReport,
     carry_checksum,
-    sat_out_of_core_resilient,
-    sat_streamed_resilient,
+    sat_out_of_core,
+    sat_streamed,
 )
 from repro.sat.reference import sat_reference
 from repro.util.backoff import ExponentialBackoff, FakeClock
@@ -69,7 +69,7 @@ class TestResilientBandProvider:
             injector.wrap_provider(lambda r0, r1: a[r0:r1]), max_retries=6
         )
         out = collect(
-            sat_streamed_resilient(provider, a.shape, 4), a.shape
+            sat_streamed(provider, a.shape, 4), a.shape
         )
         assert np.allclose(out, sat_reference(a))
         assert injector.stats["provider_corruptions"] > 0
@@ -99,7 +99,7 @@ class TestCheckpoints:
         expected = sat_reference(a)
         checkpoints = []
         out = collect(
-            sat_streamed_resilient(
+            sat_streamed(
                 lambda r0, r1: a[r0:r1], a.shape, 8, on_checkpoint=checkpoints.append
             ),
             a.shape,
@@ -110,7 +110,7 @@ class TestCheckpoints:
         # Resume from the middle: only the remaining bands are computed.
         report = StreamReport()
         resumed = list(
-            sat_streamed_resilient(
+            sat_streamed(
                 lambda r0, r1: a[r0:r1], a.shape, 8,
                 checkpoint=checkpoints[2], report=report,
             )
@@ -119,19 +119,42 @@ class TestCheckpoints:
         assert report.resumed_at == 24
         assert np.allclose(np.vstack([b for _, b in resumed]), expected[24:])
 
+    def test_consumer_death_resumes_at_the_band_it_was_handling(self, rng):
+        """A checkpoint covers only bands the consumer moved past, so a
+        consumer that dies mid-band resumes by redoing that band."""
+        a = rng.random((40, 8))
+        checkpoints = []
+        handled = []
+        with pytest.raises(RuntimeError):
+            for row0, _band in sat_streamed(
+                lambda r0, r1: a[r0:r1], a.shape, 8, on_checkpoint=checkpoints.append
+            ):
+                if row0 == 16:
+                    raise RuntimeError("consumer died handling band 16")
+                handled.append(row0)
+        assert checkpoints[-1].row0 == 16
+        resumed = list(
+            sat_streamed(
+                lambda r0, r1: a[r0:r1], a.shape, 8, checkpoint=checkpoints[-1]
+            )
+        )
+        handled += [row0 for row0, _ in resumed]
+        assert handled == [0, 8, 16, 24, 32]
+        assert np.allclose(resumed[0][1], sat_reference(a)[16:24])
+
     def test_resume_residency_stays_one_band(self, rng):
         """Resuming must not refetch finished bands: residency and fetch
         count are those of the remaining suffix only."""
         a = rng.random((64, 32))
         checkpoints = []
         list(
-            sat_streamed_resilient(
+            sat_streamed(
                 lambda r0, r1: a[r0:r1], a.shape, 8, on_checkpoint=checkpoints.append
             )
         )
         meter = PeakMemoryMeter(a)
         list(
-            sat_streamed_resilient(meter, a.shape, 8, checkpoint=checkpoints[4])
+            sat_streamed(meter, a.shape, 8, checkpoint=checkpoints[4])
         )
         assert meter.peak_elements == 8 * 32  # O(band_rows * n_cols)
         assert meter.bands_served == 3  # bands 5..7 only
@@ -140,7 +163,7 @@ class TestCheckpoints:
         a = rng.random((16, 4))
         checkpoints = []
         list(
-            sat_streamed_resilient(
+            sat_streamed(
                 lambda r0, r1: a[r0:r1], a.shape, 4, on_checkpoint=checkpoints.append
             )
         )
@@ -150,7 +173,7 @@ class TestCheckpoints:
             row0=good.row0, carry=good.carry + 1e-9, checksum=good.checksum
         )
         with pytest.raises(CorruptionDetected):
-            list(sat_streamed_resilient(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=rotten))
+            list(sat_streamed(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=rotten))
 
     def test_nan_checkpoint_detected(self):
         carry = np.array([1.0, np.nan])
@@ -162,10 +185,10 @@ class TestCheckpoints:
         a = rng.random((8, 4))
         wrong_cols = StreamCheckpoint.at(4, np.zeros(3))
         with pytest.raises(ShapeError):
-            list(sat_streamed_resilient(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=wrong_cols))
+            list(sat_streamed(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=wrong_cols))
         out_of_range = StreamCheckpoint.at(99, np.zeros(4))
         with pytest.raises(ShapeError):
-            list(sat_streamed_resilient(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=out_of_range))
+            list(sat_streamed(lambda r0, r1: a[r0:r1], a.shape, 4, checkpoint=out_of_range))
 
 
 class TestDegradation:
@@ -180,13 +203,13 @@ class TestDegradation:
             return sat_reference(band)
 
         report = StreamReport()
-        sat, rep = sat_out_of_core_resilient(
-            a, 4, band_sat=flaky_band_sat, report=report
+        sat = sat_out_of_core(
+            a, 4, band_sat=flaky_band_sat, max_band_attempts=3, report=report
         )
-        assert rep is report
+        assert report.bands_completed == 4  # the caller's report is filled
         assert np.allclose(sat, sat_reference(a))
-        assert rep.band_sat_retries == 4  # one retry per band
-        assert not rep.degraded
+        assert report.band_sat_retries == 4  # one retry per band
+        assert not report.degraded
 
     def test_persistent_band_sat_failure_degrades_to_oracle(self, rng):
         a = rng.random((12, 6))
@@ -194,7 +217,11 @@ class TestDegradation:
         def dead_band_sat(band):
             raise TransientFault("kernel always dies")
 
-        sat, report = sat_out_of_core_resilient(a, 4, band_sat=dead_band_sat)
+        report = StreamReport()
+        sat = sat_out_of_core(
+            a, 4, band_sat=dead_band_sat, max_band_attempts=3,
+            oracle_fallback=True, report=report,
+        )
         assert np.allclose(sat, sat_reference(a))
         assert report.degraded
         assert report.degraded_bands == [0, 4, 8]
@@ -207,7 +234,7 @@ class TestDegradation:
             raise TransientFault("kernel always dies")
 
         with pytest.raises(RetryExhausted):
-            sat_out_of_core_resilient(a, 4, band_sat=dead_band_sat, oracle_fallback=False)
+            sat_out_of_core(a, 4, band_sat=dead_band_sat, max_band_attempts=3)
 
     def test_mutating_band_sat_cannot_poison_fallback(self, rng):
         """Each attempt gets a private copy: a kernel that trashes its
@@ -218,7 +245,11 @@ class TestDegradation:
             band[:] = np.nan
             raise TransientFault("died after trashing its input")
 
-        sat, report = sat_out_of_core_resilient(a, 4, band_sat=vandal)
+        report = StreamReport()
+        sat = sat_out_of_core(
+            a, 4, band_sat=vandal, max_band_attempts=3, oracle_fallback=True,
+            report=report,
+        )
         assert np.allclose(sat, sat_reference(a))
         assert np.isfinite(a).all()
         assert report.degraded_bands == [0, 4]
@@ -232,13 +263,18 @@ class TestDegradation:
             return out
 
         # Deterministically bad output: retried, then degraded to oracle.
-        sat, report = sat_out_of_core_resilient(a, 4, band_sat=nan_kernel)
+        report = StreamReport()
+        sat = sat_out_of_core(
+            a, 4, band_sat=nan_kernel, max_band_attempts=3, oracle_fallback=True,
+            report=report,
+        )
         assert np.allclose(sat, sat_reference(a))
         assert report.degraded
 
     def test_quiet_run_reports_nothing(self, rng):
         a = rng.random((16, 8))
-        sat, report = sat_out_of_core_resilient(a, 4)
+        report = StreamReport()
+        sat = sat_out_of_core(a, 4, report=report)
         assert np.allclose(sat, sat_reference(a))
         assert not report.degraded
         assert report.band_sat_retries == 0
@@ -249,7 +285,7 @@ class TestDegradation:
         a = rng.random((8, 4))
         cp = StreamCheckpoint.at(4, np.zeros(4))
         with pytest.raises(ShapeError):
-            sat_out_of_core_resilient(a, 4, checkpoint=cp)
+            sat_out_of_core(a, 4, checkpoint=cp)
 
 
 class TestEndToEndFaultSandwich:
@@ -277,9 +313,9 @@ class TestEndToEndFaultSandwich:
 
         report = StreamReport()
         out = collect(
-            sat_streamed_resilient(
+            sat_streamed(
                 provider, a.shape, 8, band_sat=sometimes_dying,
-                clock=clock, report=report,
+                max_band_attempts=3, clock=clock, report=report,
             ),
             a.shape,
         )

@@ -11,11 +11,7 @@ from repro.machine.engine import ExecutionEngine, PlanCache
 from repro.machine.params import MachineParams
 from repro.obs import runtime
 from repro.sat import BatchSession, make_algorithm
-from repro.sat.out_of_core import (
-    sat_out_of_core,
-    sat_out_of_core_resilient,
-    sat_streamed,
-)
+from repro.sat.out_of_core import StreamReport, sat_out_of_core, sat_streamed
 
 PARAMS = MachineParams(width=8, latency=16)
 
@@ -125,7 +121,7 @@ class TestStreamingWiring:
             ):
                 pass
         reg = runtime.registry()
-        assert reg.counter_value("stream_bands_total", resilient="false") == 4.0
+        assert reg.counter_value("stream_bands_total") == 4.0
         assert reg.counter_value("band_prefetches_total") == 4.0
         assert reg.histogram("band_fetch_wait_seconds").count == 4
         assert "band_compute" in runtime.spans().names()
@@ -137,11 +133,10 @@ class TestStreamingWiring:
         reg = runtime.registry()
         assert reg.counter_value("band_prefetches_total") == 0.0
         assert reg.histogram("band_fetch_wait_seconds") is None
-        assert reg.counter_value("stream_bands_total", resilient="false") == 4.0
+        assert reg.counter_value("stream_bands_total") == 4.0
 
     def test_resilient_stream_records_retries_degrades_checkpoints(self):
         from repro.errors import TransientFault
-        from repro.sat.out_of_core import StreamReport, sat_streamed_resilient
 
         a = np.ones((16, 8))
         calls = {"n": 0}
@@ -152,14 +147,14 @@ class TestStreamingWiring:
 
         report = StreamReport()
         with runtime.enabled_scope(True):
-            for _ in sat_streamed_resilient(
+            for _ in sat_streamed(
                 lambda r0, r1: a[r0:r1], a.shape, 8,
-                band_sat=flaky_band_sat, max_band_attempts=2,
+                band_sat=flaky_band_sat, max_band_attempts=2, oracle_fallback=True,
                 on_checkpoint=lambda cp: None, report=report,
             ):
                 pass
         reg = runtime.registry()
-        assert reg.counter_value("stream_bands_total", resilient="true") == 2.0
+        assert reg.counter_value("stream_bands_total") == 2.0
         assert reg.counter_value("stream_band_retries_total") == 2.0  # 1 per band
         assert reg.counter_value("stream_degraded_bands_total") == 2.0
         assert reg.counter_value("stream_checkpoints_total") == 2.0
@@ -167,10 +162,11 @@ class TestStreamingWiring:
 
     def test_healthy_resilient_stream_records_no_faults(self):
         a = np.ones((16, 8))
+        report = StreamReport()
         with runtime.enabled_scope(True):
-            sat, report = sat_out_of_core_resilient(a, 4)
+            sat_out_of_core(a, 4, max_band_attempts=3, oracle_fallback=True, report=report)
         reg = runtime.registry()
-        assert reg.counter_value("stream_bands_total", resilient="true") == 4.0
+        assert reg.counter_value("stream_bands_total") == 4.0
         assert reg.counter_value("stream_band_retries_total") == 0.0
         assert reg.counter_value("stream_degraded_bands_total") == 0.0
         assert not report.degraded

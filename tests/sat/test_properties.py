@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for SAT invariants and the substrate."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -103,6 +104,67 @@ class TestExtensionProperties:
 
         a = np.random.default_rng(seed).random((rows, cols))
         assert np.allclose(sat_out_of_core(a, band), oracle(a), atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 30), st.integers(1, 12), st.integers(1, 20),
+        st.integers(0, 10_000), st.integers(0, 2), st.integers(1, 3),
+        st.booleans(), st.lists(st.integers(0, 3), max_size=30),
+    )
+    def test_streamed_band_faults_any_banding(
+        self, rows, cols, band, seed, depth, attempts, fallback, fails
+    ):
+        from repro.errors import RetryExhausted, TransientFault
+        from repro.sat.out_of_core import StreamReport, sat_streamed
+
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-50, 50, size=(rows, cols)).astype(np.float64)
+        starts = list(range(0, rows, band))
+        failures = {r0: fails[i] if i < len(fails) else 0 for i, r0 in enumerate(starts)}
+        calls = dict.fromkeys(starts, 0)
+        taken = []
+
+        def flaky(b):
+            # The stream computes band i inside the next() that yields it,
+            # after the consumer has taken bands 0..i-1.
+            row0 = starts[len(taken)]
+            calls[row0] += 1
+            if calls[row0] <= failures[row0]:
+                raise TransientFault(f"band {row0} attempt {calls[row0]}")
+            return sat_reference(b)
+
+        retries, degraded, fails_at = 0, [], None
+        for row0 in starts:
+            retries += min(failures[row0], attempts - 1)
+            if failures[row0] >= attempts:
+                if not fallback:
+                    fails_at = row0
+                    break
+                degraded.append(row0)
+
+        report = StreamReport()
+        stream = sat_streamed(
+            lambda r0, r1: a[r0:r1], a.shape, band, band_sat=flaky,
+            prefetch_depth=depth, max_band_attempts=attempts,
+            oracle_fallback=fallback, report=report,
+        )
+        out = np.full(a.shape, np.nan)
+        if fails_at is None:
+            for row0, sat_band in stream:
+                taken.append(row0)
+                out[row0:row0 + sat_band.shape[0]] = sat_band
+                sat_band[:] = np.nan  # the consumer owns what it took
+            assert np.array_equal(out, sat_reference(a))
+            assert report.bands_completed == len(starts)
+        else:
+            with pytest.raises(TransientFault if attempts == 1 else RetryExhausted):
+                for row0, sat_band in stream:
+                    taken.append(row0)
+                    out[row0:row0 + sat_band.shape[0]] = sat_band
+            assert taken == starts[:starts.index(fails_at)]
+            assert np.array_equal(out[:fails_at], sat_reference(a)[:fails_at])
+        assert report.band_sat_retries == retries
+        assert report.degraded_bands == degraded
 
 
 class TestSubstrateProperties:

@@ -433,12 +433,6 @@ class TestClusterMode:
         sup = WorkerSupervisor(2, inline=True)
         return ShardRouter(sup, replicas=2)
 
-    def test_coalesce_knobs_require_a_router(self):
-        with pytest.raises(ConfigurationError):
-            SATServer(coalesce_window=0.001)
-        with pytest.raises(ConfigurationError):
-            SATServer(coalesce_max_points=64)
-
     def test_micro_batched_region_sums_are_bit_exact(self, rng):
         from repro.service.queries import region_sums as local_region_sums
         from repro.service.store import Dataset
@@ -449,8 +443,7 @@ class TestClusterMode:
         rects = [(i % 5, i % 7, 16 + i % 9, 20 + i % 11) for i in range(24)]
 
         async def main():
-            async with SATServer(router=router,
-                                 coalesce_window=0.0) as server:
+            async with SATServer(router=router) as server:
                 await server.ingest("img", a, tile=8)
                 got = await asyncio.gather(
                     *[server.region_sum("img", *rect) for rect in rects]
